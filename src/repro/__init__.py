@@ -41,7 +41,7 @@ from .core.join import (
     similarity_self_join,
 )
 from .core.tokenize import QGramTokenizer, WordQGramTokenizer, WordTokenizer
-from .core.topk import TopKSearcher
+from .algorithms.topk import TopKSearcher
 from .algorithms.prefixfilter import PrefixFilterSearcher
 from .core.unweighted import CosineSetSearcher
 from .core.updatable import UpdatableSearcher

@@ -12,6 +12,7 @@ from .base import (
     QueryLists,
     SearchResult,
     SelectionAlgorithm,
+    StreamingAlgorithm,
     algorithm_names,
     make_algorithm,
     register_algorithm,
@@ -33,6 +34,7 @@ __all__ = [
     "QueryLists",
     "SearchResult",
     "SelectionAlgorithm",
+    "StreamingAlgorithm",
     "algorithm_names",
     "make_algorithm",
     "register_algorithm",

@@ -18,7 +18,7 @@ toward ``len(q)`` — the prepared query already handled that).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Generator, Iterator, List, Optional, Tuple
 
 from ..contracts import (
     ContractViolation,
@@ -38,6 +38,7 @@ __all__ = [
     "AlgorithmResult",
     "QueryLists",
     "SelectionAlgorithm",
+    "StreamingAlgorithm",
     "register_algorithm",
     "algorithm_names",
     "make_algorithm",
@@ -415,6 +416,49 @@ class SelectionAlgorithm:
             flags.append("NSL")
         suffix = f" [{' '.join(flags)}]" if flags else ""
         return f"{type(self).__name__}{suffix}"
+
+
+class StreamingAlgorithm(SelectionAlgorithm):  # repro-check: abstract-algorithm
+    """An algorithm whose answers are final the moment it finds them.
+
+    Subclasses implement ``_stream``: a generator that yields each answer
+    as it is confirmed and returns the peak candidate count.  ``_run``
+    drains it for :meth:`search`; :meth:`stream` hands it to callers that
+    may stop early (:func:`~repro.algorithms.streaming.stream_search`).
+    """
+
+    def _stream(
+        self, lists: QueryLists, tau: float
+    ) -> Generator[SearchResult, None, int]:
+        raise NotImplementedError
+
+    def _run(
+        self, lists: QueryLists, tau: float
+    ) -> Tuple[List[SearchResult], int]:
+        results: List[SearchResult] = []
+        stream = self._stream(lists, tau)
+        while True:
+            try:
+                results.append(next(stream))
+            except StopIteration as done:
+                return results, done.value
+
+    def stream(
+        self,
+        query: PreparedQuery,
+        tau: float,
+        stats: Optional[IOStats] = None,
+    ) -> Iterator[SearchResult]:
+        """Yield answers as they are confirmed.  Lists are opened on the
+        first ``next()``, and dropping the generator stops all reads."""
+        lists = QueryLists(
+            self.index,
+            query,
+            stats if stats is not None else IOStats(),
+            use_skip_lists=self.use_skip_lists,
+            order=self.list_order,
+        )
+        yield from self._stream(lists, effective_threshold(tau))
 
 
 _REGISTRY: Dict[str, type] = {}

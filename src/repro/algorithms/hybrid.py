@@ -36,6 +36,7 @@ from .base import (
     register_algorithm,
 )
 from .candidates import Candidate, PartitionedCandidateSet
+from .kernel import admission_bound, frontier_threshold, prune_scan
 
 
 @register_algorithm
@@ -62,7 +63,6 @@ class Hybrid(SelectionAlgorithm):
             return [], 0
         lo, hi = self._bounds(lists, tau)
         query_len = lists.query.length
-        all_mask = (1 << n) - 1
         candidates = PartitionedCandidateSet(n)
         results: List[SearchResult] = []
         total_idf_sq = lists.total_idf_squared()
@@ -93,30 +93,25 @@ class Hybrid(SelectionAlgorithm):
             for i, cursor in enumerate(cursors):
                 if complete[i]:
                     continue
-                if cursor.exhausted():
-                    self._complete_list(
-                        i, complete, frontier_contrib, lists
-                    )
-                    open_idf_sq -= lists.idf_squared[i]
-                    continue
-                stop_len = max(candidates.max_length(), lambda_cutoff())
-                peek_length = cursor.peek()[0]
-                if peek_length > hi or peek_length > stop_len:
+                if cursor.exhausted() or cursor.peek()[0] > min(
+                    hi, max(candidates.max_length(), lambda_cutoff())
+                ):
                     # SF's stop condition, applied per list in round-robin:
                     # nothing unread in this list can matter.  Stop without
                     # consuming the posting.
-                    self._complete_list(i, complete, frontier_contrib, lists)
+                    complete[i] = True
+                    frontier_contrib[i] = 0.0
                     open_idf_sq -= lists.idf_squared[i]
                     continue
                 length, set_id = cursor.next()
                 frontier_key[i] = (length, set_id)
-                frontier_contrib[i] = lists.contribution(i, length)
                 contribution = lists.contribution(i, length)
+                frontier_contrib[i] = contribution
                 cand = candidates.get(set_id)
                 if cand is None:
                     if f_threshold < tau:
                         continue
-                    if self._best_case(
+                    if admission_bound(
                         lists, i, length, set_id, complete, frontier_key
                     ) < tau:
                         continue
@@ -124,12 +119,11 @@ class Hybrid(SelectionAlgorithm):
                     candidates.add(cand, discovered_in=i)
                 cand.see(i, contribution)
                 if cursor.exhausted():
-                    self._complete_list(i, complete, frontier_contrib, lists)
+                    complete[i] = True
+                    frontier_contrib[i] = 0.0
                     open_idf_sq -= lists.idf_squared[i]
 
-            f_threshold = sum(
-                frontier_contrib[i] for i in range(n) if not complete[i]
-            )
+            f_threshold = frontier_threshold(frontier_contrib, complete)
 
             if all(complete):
                 for cand in candidates.scan():
@@ -145,84 +139,12 @@ class Hybrid(SelectionAlgorithm):
                 candidates.prune_back(lambda c: c.length > dead_above)
 
             if not self.lazy_scans or f_threshold < tau:
-                self._prune_scan(
-                    lists, tau, candidates, results, complete,
-                    frontier_key, all_mask,
-                )
+                for cand in prune_scan(
+                    lists, tau, candidates, complete, frontier_key
+                ):
+                    if cand.lower >= tau:
+                        results.append(SearchResult(cand.set_id, cand.lower))
                 if len(candidates) == 0 and f_threshold < tau:
                     break
 
         return results, candidates.peak
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _complete_list(
-        i: int,
-        complete: List[bool],
-        frontier_contrib: List[float],
-        lists: QueryLists,
-    ) -> None:
-        complete[i] = True
-        frontier_contrib[i] = 0.0
-
-    def _best_case(
-        self,
-        lists: QueryLists,
-        from_list: int,
-        length: float,
-        set_id: int,
-        complete: List[bool],
-        frontier_key: List[Optional[Tuple[float, int]]],
-    ) -> float:
-        """Magnitude-boundedness admission bound (same as iNRA's)."""
-        key = (length, set_id)
-        total = lists.idf_squared[from_list]
-        for j in range(len(lists)):
-            if j == from_list or complete[j]:
-                continue
-            fk = frontier_key[j]
-            if fk is not None and fk >= key:
-                continue
-            total += lists.idf_squared[j]
-        total = min(total, length * length)
-        denom = length * lists.query.length
-        return total / denom if denom > 0.0 else 0.0
-
-    def _prune_scan(
-        self,
-        lists: QueryLists,
-        tau: float,
-        candidates: PartitionedCandidateSet,
-        results: List[SearchResult],
-        complete: List[bool],
-        frontier_key: List[Optional[Tuple[float, int]]],
-        all_mask: int,
-    ) -> None:
-        """iNRA-style resolve/report/prune pass over all live candidates."""
-        n = len(lists)
-        for cand in candidates.scan():
-            lists.stats.charge_candidate_scan()
-            key = (cand.length, cand.set_id)
-            for i in range(n):
-                bit = 1 << i
-                if cand.seen_mask & bit or cand.dead_mask & bit:
-                    continue
-                fk = frontier_key[i]
-                if complete[i] or (fk is not None and fk >= key):
-                    cand.rule_out(i)
-            if cand.resolved(all_mask):
-                if cand.lower >= tau:
-                    results.append(SearchResult(cand.set_id, cand.lower))
-                candidates.remove(cand.set_id)
-                continue
-            upper = cand.lower
-            for i in range(n):
-                bit = 1 << i
-                if not (cand.seen_mask | cand.dead_mask) & bit:
-                    upper += lists.contribution(i, cand.length)
-            if lists.query.length > 0.0:
-                upper = max(
-                    min(upper, cand.length / lists.query.length), cand.lower
-                )
-            if upper < tau:
-                candidates.remove(cand.set_id)

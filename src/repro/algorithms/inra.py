@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..contracts import ContractViolation, invariants_enabled
+from ..contracts import invariants_enabled
 from ..storage.invlist import InvertedIndex
 from .base import (
     QueryLists,
@@ -35,6 +35,12 @@ from .base import (
     register_algorithm,
 )
 from .candidates import Candidate, HashCandidateSet
+from .kernel import (
+    admission_bound,
+    check_frontier_monotone,
+    frontier_threshold,
+    prune_scan,
+)
 
 
 @register_algorithm
@@ -59,7 +65,6 @@ class INRA(SelectionAlgorithm):
         if n == 0:
             return [], 0
         lo, hi = self._bounds(lists, tau)
-        all_mask = (1 << n) - 1
         candidates = HashCandidateSet()
         results: List[SearchResult] = []
 
@@ -97,17 +102,17 @@ class INRA(SelectionAlgorithm):
                     continue
                 length, set_id = cursor.next()
                 if verify and frontier_key[i] is not None:
-                    self._check_frontier_monotone(
+                    check_frontier_monotone(
                         lists, i, length, frontier_contrib[i]
                     )
                 frontier_key[i] = (length, set_id)
-                frontier_contrib[i] = lists.contribution(i, length)
                 contribution = lists.contribution(i, length)
+                frontier_contrib[i] = contribution
                 cand = candidates.get(set_id)
                 if cand is None:
                     if f_threshold < tau:
                         continue  # no unseen set can qualify any more
-                    if self._best_case(
+                    if admission_bound(
                         lists, i, length, set_id, complete, frontier_key
                     ) < tau:
                         continue  # magnitude boundedness: never viable
@@ -117,12 +122,9 @@ class INRA(SelectionAlgorithm):
                     complete[i] = True
                     frontier_contrib[i] = 0.0
 
-            f_threshold = sum(
-                frontier_contrib[i] for i in range(n) if not complete[i]
-            )
-            all_done = all(complete)
+            f_threshold = frontier_threshold(frontier_contrib, complete)
 
-            if all_done:
+            if all(complete):
                 # Every membership is resolved: lower bounds are exact.
                 for cand in candidates.scan():
                     if cand.lower >= tau:
@@ -134,107 +136,13 @@ class INRA(SelectionAlgorithm):
                 # The candidate set cannot empty while F >= tau: skip the scan.
                 continue
 
-            self._prune_scan(
-                lists, tau, candidates, results, complete, frontier_key, all_mask
-            )
+            for cand in prune_scan(
+                lists, tau, candidates, complete, frontier_key,
+                stop_at_viable=self.lazy_scans,
+            ):
+                if cand.lower >= tau:
+                    results.append(SearchResult(cand.set_id, cand.lower))
             if len(candidates) == 0 and f_threshold < tau:
                 break
 
         return results, candidates.peak
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _check_frontier_monotone(
-        lists: QueryLists, list_index: int, length: float, previous: float
-    ) -> None:
-        """Magnitude Boundedness at the frontier: the contribution of the
-        newly popped posting may never exceed the list's previous frontier
-        contribution (runs only under ``REPRO_CHECK_INVARIANTS=1``)."""
-        contribution = lists.contribution(list_index, length)
-        if contribution > previous + 1e-12:
-            raise ContractViolation(
-                "magnitude-boundedness",
-                f"list {lists.tokens[list_index]!r} frontier contribution "
-                f"rose from {previous!r} to {contribution!r}; per-token "
-                "contributions must be non-increasing",
-            )
-
-    def _best_case(
-        self,
-        lists: QueryLists,
-        from_list: int,
-        length: float,
-        set_id: int,
-        complete: List[bool],
-        frontier_key: List[Optional[Tuple[float, int]]],
-    ) -> float:
-        """Property 2 admission bound for a set first seen now in ``from_list``.
-
-        Sums the set's own potential contribution over every list that could
-        still contain it: the discovering list, plus lists that are not
-        complete and whose frontier has not yet passed ``(length, set_id)``.
-        Stale (previous-round) frontiers only make this conservative.
-        """
-        key = (length, set_id)
-        total_idf_sq = lists.idf_squared[from_list]
-        for j in range(len(lists)):
-            if j == from_list or complete[j]:
-                continue
-            fk = frontier_key[j]
-            if fk is not None and fk >= key:
-                continue  # frontier passed without seeing it: absent
-            total_idf_sq += lists.idf_squared[j]
-        # Theorem 1 case 2 cap: matched tokens are a subset of s, so their
-        # squared idfs sum to at most len(s)².
-        total_idf_sq = min(total_idf_sq, length * length)
-        denom = length * lists.query.length
-        return total_idf_sq / denom if denom > 0.0 else 0.0
-
-    def _prune_scan(
-        self,
-        lists: QueryLists,
-        tau: float,
-        candidates: HashCandidateSet,
-        results: List[SearchResult],
-        complete: List[bool],
-        frontier_key: List[Optional[Tuple[float, int]]],
-        all_mask: int,
-    ) -> None:
-        """One pass over the candidate set: resolve, report, prune.
-
-        With ``lazy_scans`` the pass stops at the first candidate that is
-        still viable and unresolved (the conservative early termination of
-        Section V) — later candidates would survive anyway is not guaranteed,
-        but keeping them costs only memory, never correctness.
-        """
-        n = len(lists)
-        for cand in candidates.scan():
-            lists.stats.charge_candidate_scan()
-            key = (cand.length, cand.set_id)
-            for i in range(n):
-                bit = 1 << i
-                if cand.seen_mask & bit or cand.dead_mask & bit:
-                    continue
-                fk = frontier_key[i]
-                if complete[i] or (fk is not None and fk >= key):
-                    cand.rule_out(i)
-            if cand.resolved(all_mask):
-                if cand.lower >= tau:
-                    results.append(SearchResult(cand.set_id, cand.lower))
-                candidates.remove(cand.set_id)
-                continue
-            upper = cand.lower
-            for i in range(n):
-                bit = 1 << i
-                if not (cand.seen_mask | cand.dead_mask) & bit:
-                    upper += lists.contribution(i, cand.length)
-            if lists.query.length > 0.0:
-                # Theorem 1 case 2: I(q, s) <= len(s)/len(q) — but never
-                # below the known lower bound (float-order protection).
-                upper = max(
-                    min(upper, cand.length / lists.query.length), cand.lower
-                )
-            if upper < tau:
-                candidates.remove(cand.set_id)
-            elif self.lazy_scans:
-                break

@@ -20,33 +20,34 @@ lists drops below ``tau``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Generator, List, Optional, Set, Tuple
 
 from ..contracts import invariants_enabled
 from .base import (
     QueryLists,
     SearchResult,
-    SelectionAlgorithm,
+    StreamingAlgorithm,
     register_algorithm,
 )
-from .inra import INRA
+from .kernel import admission_bound, check_frontier_monotone, frontier_threshold
 
 
 @register_algorithm
-class ITA(SelectionAlgorithm):
+class ITA(StreamingAlgorithm):
     """Improved TA: length window, magnitude pre-check, probe avoidance
     (the Section V "straightforward" TA analogue of iNRA's Section IV
     property usage)."""
 
     name = "ita"
 
-    def _run(self, lists: QueryLists, tau: float) -> Tuple[List[SearchResult], int]:
+    def _stream(
+        self, lists: QueryLists, tau: float
+    ) -> Generator[SearchResult, None, int]:
         n = len(lists)
-        if n == 0:
-            return [], 0
-        lo, hi = self._bounds(lists, tau)
-        results: List[SearchResult] = []
         seen: Set[int] = set()
+        if n == 0:
+            return 0
+        lo, hi = self._bounds(lists, tau)
         cursors = lists.cursors
 
         if self.use_length_bounds:
@@ -65,18 +66,15 @@ class ITA(SelectionAlgorithm):
             for i, cursor in enumerate(cursors):
                 if complete[i]:
                     continue
-                if cursor.exhausted():
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
-                    continue
-                if cursor.peek()[0] > hi:
-                    # Past the Theorem 1 window: stop without consuming.
+                if cursor.exhausted() or cursor.peek()[0] > hi:
+                    # Exhausted, or past the Theorem 1 window: stop
+                    # without consuming.
                     complete[i] = True
                     frontier_contrib[i] = 0.0
                     continue
                 length, set_id = cursor.next()
                 if verify and frontier_key[i] is not None:
-                    INRA._check_frontier_monotone(
+                    check_frontier_monotone(
                         lists, i, length, frontier_contrib[i]
                     )
                 frontier_key[i] = (length, set_id)
@@ -87,18 +85,12 @@ class ITA(SelectionAlgorithm):
                 if set_id in seen:
                     continue
                 seen.add(set_id)
-                key = (length, set_id)
-                # Lists that could still contain this set: frontier not yet
-                # past its key.  Everything else is a known absence.
-                plausible = [
-                    j
-                    for j in range(n)
-                    if j != i
-                    and not complete[j]
-                    and (frontier_key[j] is None or frontier_key[j] < key)
-                ]
-                best = self._magnitude_bound(lists, i, length, plausible)
-                if best < tau:
+                # Lists that could still contain this set; every other list
+                # is a known absence and is never probed.
+                plausible: List[int] = []
+                if admission_bound(
+                    lists, i, length, set_id, complete, frontier_key, plausible
+                ) < tau:
                     continue  # provably hopeless: skip all probes
                 score = lists.contribution(i, length)
                 for j in plausible:
@@ -108,27 +100,10 @@ class ITA(SelectionAlgorithm):
                     if found is not None:
                         score += lists.contribution(j, length)
                 if score >= tau:
-                    results.append(SearchResult(set_id, score))
+                    yield SearchResult(set_id, score)
 
             if all(complete):
                 break
-            f_threshold = sum(
-                frontier_contrib[j] for j in range(n) if not complete[j]
-            )
-            if f_threshold < tau:
+            if frontier_threshold(frontier_contrib, complete) < tau:
                 break
-        return results, len(seen)
-
-    @staticmethod
-    def _magnitude_bound(
-        lists: QueryLists, from_list: int, length: float, plausible: List[int]
-    ) -> float:
-        """Property 2 bound, additionally capped by ``len(s)/len(q)``
-        (Theorem 1 case 2: the matched tokens are a subset of ``s``, so
-        their squared idfs sum to at most ``len(s)²``)."""
-        total_idf_sq = lists.idf_squared[from_list] + sum(
-            lists.idf_squared[j] for j in plausible
-        )
-        total_idf_sq = min(total_idf_sq, length * length)
-        denom = length * lists.query.length
-        return total_idf_sq / denom if denom > 0.0 else 0.0
+        return len(seen)

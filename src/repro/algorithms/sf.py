@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from ..contracts import check_magnitude_bound, invariants_enabled
+from ..core.properties import magnitude_upper_bound
 from ..obs import trace as obs_trace
 from .base import (
     QueryLists,
@@ -207,18 +208,10 @@ class ShortestFirst(SelectionAlgorithm):
             cand = sorted_cands[ptr]
             if (cand.length, cand.set_id) >= key:
                 break
-            if cand.set_id in by_id:
-                upper = cand.lower + (
-                    suffix_after / (cand.length * query_len)
-                    if cand.length > 0 and query_len > 0
-                    else 0.0
-                )
-                if query_len > 0.0:
-                    upper = max(
-                        min(upper, cand.length / query_len), cand.lower
-                    )
-                if upper < tau:
-                    del by_id[cand.set_id]  # tombstone; list trims lazily
+            if cand.set_id in by_id and magnitude_upper_bound(
+                cand.length, query_len, suffix_after, cand.lower
+            ) < tau:
+                del by_id[cand.set_id]  # tombstone; list trims lazily
             ptr += 1
         return ptr
 

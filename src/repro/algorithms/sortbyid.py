@@ -11,25 +11,26 @@ threshold — the flat line of Figure 6(a).
 from __future__ import annotations
 
 import heapq
-from typing import List, Tuple
+from typing import Generator, List, Tuple
 
 from .base import (
     QueryLists,
     SearchResult,
-    SelectionAlgorithm,
+    StreamingAlgorithm,
     register_algorithm,
 )
 
 
 @register_algorithm
-class SortByIdMerge(SelectionAlgorithm):
+class SortByIdMerge(StreamingAlgorithm):
     """Heap merge over id-ordered lists (Section III-B, first variant)."""
 
     name = "sort-by-id"
     list_order = "id"
 
-    def _run(self, lists: QueryLists, tau: float) -> Tuple[List[SearchResult], int]:
-        results: List[SearchResult] = []
+    def _stream(
+        self, lists: QueryLists, tau: float
+    ) -> Generator[SearchResult, None, int]:
         # Heap of (set_id, list_index); ties group contributions per id.
         heap: List[Tuple[int, int]] = []
         for i, cursor in enumerate(lists.cursors):
@@ -48,5 +49,5 @@ class SortByIdMerge(SelectionAlgorithm):
                 if not cursor.exhausted():
                     heapq.heappush(heap, (cursor.peek()[0], i))
             if score >= tau:
-                results.append(SearchResult(top_id, score))
-        return results, peak
+                yield SearchResult(top_id, score)
+        return peak

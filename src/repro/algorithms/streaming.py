@@ -20,15 +20,14 @@ makes emission order erratic — use the batch API for those.
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional
 
 from ..core.errors import ConfigurationError
-from ..core.properties import effective_threshold, validate_threshold
+from ..core.properties import validate_threshold
 from ..core.query import PreparedQuery
 from ..storage.invlist import InvertedIndex
 from ..storage.pages import IOStats
-from .base import QueryLists, SearchResult
+from .base import SearchResult, make_algorithm
 
 STREAMING_ALGORITHMS = ("sort-by-id", "ita")
 
@@ -44,125 +43,23 @@ def stream_search(
 ) -> Iterator[SearchResult]:
     """Generate answers incrementally; safe to abandon at any point.
 
-    Emission order: ascending set id for ``sort-by-id``; discovery order
-    (roughly descending contribution) for ``ita``.  Every emitted score is
-    exact and final.
+    Runs the registered algorithm's own generator, so a fully consumed
+    stream gives the answers and ledger of ``search``.  Emission order:
+    ascending set id for ``sort-by-id``; discovery order (roughly
+    descending contribution) for ``ita``.  Every emitted score is exact
+    and final.
     """
     validate_threshold(tau)
-    if algorithm == "sort-by-id":
-        return _stream_sort_by_id(index, query, tau, stats)
-    if algorithm == "ita":
-        return _stream_ita(
-            index, query, tau, stats, use_length_bounds, use_skip_lists
+    if algorithm not in STREAMING_ALGORITHMS:
+        raise ConfigurationError(
+            f"streaming supports {STREAMING_ALGORITHMS}, got {algorithm!r}"
         )
-    raise ConfigurationError(
-        f"streaming supports {STREAMING_ALGORITHMS}, got {algorithm!r}"
-    )
-
-
-def _stream_sort_by_id(
-    index: InvertedIndex,
-    query: PreparedQuery,
-    tau: float,
-    stats: Optional[IOStats],
-) -> Iterator[SearchResult]:
-    cutoff = effective_threshold(tau)
-    io = stats if stats is not None else IOStats()
-    lists = QueryLists(index, query, io, order="id")
-    heap: List[Tuple[int, int]] = []
-    for i, cursor in enumerate(lists.cursors):
-        if not cursor.exhausted():
-            heapq.heappush(heap, (cursor.peek()[0], i))
-    while heap:
-        top_id = heap[0][0]
-        score = 0.0
-        while heap and heap[0][0] == top_id:
-            _, i = heapq.heappop(heap)
-            cursor = lists.cursors[i]
-            _sid, length = cursor.next()
-            score += lists.contribution(i, length)
-            if not cursor.exhausted():
-                heapq.heappush(heap, (cursor.peek()[0], i))
-        if score >= cutoff:
-            yield SearchResult(top_id, score)
-
-
-def _stream_ita(
-    index: InvertedIndex,
-    query: PreparedQuery,
-    tau: float,
-    stats: Optional[IOStats],
-    use_length_bounds: bool,
-    use_skip_lists: bool,
-) -> Iterator[SearchResult]:
-    cutoff = effective_threshold(tau)
-    io = stats if stats is not None else IOStats()
-    lists = QueryLists(index, query, io, use_skip_lists=use_skip_lists)
-    n = len(lists)
-    if n == 0:
-        return
-    if use_length_bounds:
-        lo, hi = query.bounds(cutoff)
-    else:
-        lo, hi = 0.0, float("inf")
-    cursors = lists.cursors
-    if use_length_bounds:
-        for cursor in cursors:
-            cursor.seek_length_ge(lo)
-    complete = [False] * n
-    frontier_key: List[Optional[Tuple[float, int]]] = [None] * n
-    frontier_contrib = [0.0] * n
-    seen = set()
-    for i, cursor in enumerate(cursors):
-        if cursor.exhausted():
-            complete[i] = True
-
-    while not all(complete):
-        for i, cursor in enumerate(cursors):
-            if complete[i]:
-                continue
-            if cursor.exhausted() or cursor.peek()[0] > hi:
-                complete[i] = True
-                frontier_contrib[i] = 0.0
-                continue
-            length, set_id = cursor.next()
-            frontier_key[i] = (length, set_id)
-            frontier_contrib[i] = lists.contribution(i, length)
-            if cursor.exhausted():
-                complete[i] = True
-                frontier_contrib[i] = 0.0
-            if set_id in seen:
-                continue
-            seen.add(set_id)
-            key = (length, set_id)
-            plausible = [
-                j
-                for j in range(n)
-                if j != i
-                and not complete[j]
-                and (frontier_key[j] is None or frontier_key[j] < key)
-            ]
-            total_idf_sq = lists.idf_squared[i] + sum(
-                lists.idf_squared[j] for j in plausible
-            )
-            total_idf_sq = min(total_idf_sq, length * length)
-            denom = length * query.length
-            if denom <= 0 or total_idf_sq / denom < cutoff:
-                continue
-            score = lists.contribution(i, length)
-            for j in plausible:
-                found = index.probe(lists.tokens[j], set_id, io)
-                if found is not None:
-                    score += lists.contribution(j, length)
-            if score >= cutoff:
-                yield SearchResult(set_id, score)
-        if all(complete):
-            break
-        f_threshold = sum(
-            frontier_contrib[j] for j in range(n) if not complete[j]
-        )
-        if f_threshold < cutoff:
-            break
+    return make_algorithm(
+        algorithm,
+        index,
+        use_length_bounds=use_length_bounds,
+        use_skip_lists=use_skip_lists,
+    ).stream(query, tau, stats)
 
 
 def first_match(

@@ -12,7 +12,7 @@ from .errors import (
     UnknownAlgorithmError,
 )
 from .properties import (
-    frontier_threshold,
+    best_case_score,
     lambda_cutoffs,
     length_bounds,
     magnitude_upper_bound,
@@ -54,7 +54,7 @@ __all__ = [
     "SchemaError",
     "StorageError",
     "UnknownAlgorithmError",
-    "frontier_threshold",
+    "best_case_score",
     "lambda_cutoffs",
     "length_bounds",
     "magnitude_upper_bound",

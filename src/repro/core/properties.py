@@ -16,13 +16,15 @@ Three properties drive all pruning in the improved algorithms:
 * **Length Boundedness (Theorem 1)** — ``I(q,s) ≥ τ`` implies
   ``τ·len(q) ≤ len(s) ≤ len(q)/τ``, and the bounds are tight.
 
-This module provides those computations plus the SF algorithm's per-list
-cutoffs ``λ_i`` (Equation 2) and the NRA/iNRA frontier threshold ``F``.
+This module is the one home of those bounds: the algorithms call
+:func:`best_case_score` (admission) and :func:`magnitude_upper_bound`
+(pruning) instead of re-deriving them.  :func:`lambda_cutoffs` gives SF's
+per-list cutoffs ``λ_i`` (Equation 2) in idf order.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InvalidThresholdError
 
@@ -33,9 +35,8 @@ __all__ = [
     "length_bounds",
     "within_length_bounds",
     "lambda_cutoffs",
-    "frontier_threshold",
+    "best_case_score",
     "magnitude_upper_bound",
-    "entry_precedes",
     "tf_boosted_length_bounds",
 ]
 
@@ -111,45 +112,41 @@ def lambda_cutoffs(
     return cutoffs
 
 
-def frontier_threshold(frontier_contributions: Sequence[Optional[float]]) -> float:
-    """``F = Σ_i w_i(f_i)``: best possible score of a yet-unseen set.
+def best_case_score(
+    set_length: float, query_length: float, open_idf_squared: float
+) -> float:
+    """Property 2: best-case score of a set of known length.
 
-    ``None`` entries denote exhausted lists (they contribute nothing).  Once
-    ``F < tau`` no new candidate can qualify, so algorithms stop admitting
-    new sets and only complete the scores of known candidates.
+    ``open_idf_squared`` is the summed squared idf of every query token
+    whose list might contain the set.  Only tokens of ``s`` can score, and
+    their squared idfs sum to at most ``len(s)²`` (Theorem 1 case 2), so
+    the sum is capped there before dividing by ``len(s)·len(q)``.
     """
-    return sum(c for c in frontier_contributions if c is not None)
+    denom = set_length * query_length
+    if denom <= 0.0:
+        return 0.0
+    return min(open_idf_squared, set_length * set_length) / denom
 
 
 def magnitude_upper_bound(
     set_length: float,
     query_length: float,
-    idf_squared_open: Sequence[float],
+    open_idf_squared: float,
     known_score: float = 0.0,
 ) -> float:
-    """Property 2: best-case score of a set with known length.
+    """Property 2 upper bound of a partly scored set, capped by Theorem 1.
 
-    ``idf_squared_open`` holds the squared idfs of the query tokens whose
-    lists might still contain the set (not yet seen there and not ruled out
-    by order preservation or exhaustion).  ``known_score`` is the aggregated
-    lower bound from lists where the set already appeared.
+    ``known_score`` is the exact sum over the lists where the set already
+    appeared; ``open_idf_squared`` sums the squared idfs of the lists that
+    might still hold it.  The bound is capped at ``len(s)/len(q)``
+    (Theorem 1 case 2) but never below ``known_score``: the cap and the
+    known score can be the same quantity summed in different float orders.
     """
     denom = set_length * query_length
     if denom <= 0.0:
         return known_score
-    return known_score + sum(idf_squared_open) / denom
-
-
-def entry_precedes(
-    length_a: float, id_a: int, length_b: float, id_b: int
-) -> bool:
-    """Whether entry A sorts strictly before entry B in a ``(len, id)`` list.
-
-    Used for order-preservation pruning: if a list's frontier entry B does
-    not precede a candidate A (i.e. A precedes or equals B) and A was not
-    seen in that list, A will never appear there.
-    """
-    return (length_a, id_a) < (length_b, id_b)
+    upper = known_score + open_idf_squared / denom
+    return max(min(upper, set_length / query_length), known_score)
 
 
 def tf_boosted_length_bounds(

@@ -84,29 +84,6 @@ class PreparedQuery:
         with :attr:`tokens` (which is already in decreasing idf order)."""
         return lambda_cutoffs(self.idf_squared, self.length, tau)
 
-    def contribution(self, list_index: int, set_length: float) -> float:
-        """``w_i(s)`` — the score contribution of list ``list_index`` for a
-        set of the given normalized length."""
-        denom = set_length * self.length
-        if denom <= 0.0:
-            return 0.0
-        return self.idf_squared[list_index] / denom
-
-    def max_unseen_score(
-        self, set_length: float, open_lists: Sequence[int]
-    ) -> float:
-        """Magnitude-boundedness upper bound component: the total possible
-        contribution of the given (still open) lists for a set of known
-        length."""
-        denom = set_length * self.length
-        if denom <= 0.0:
-            return 0.0
-        return sum(self.idf_squared[i] for i in open_lists) / denom
-
-    def perfect_score_length(self) -> float:
-        """The length a set must have to possibly score 1.0 (== len(q))."""
-        return self.length
-
     def __repr__(self) -> str:
         return (
             f"PreparedQuery(n_tokens={len(self.tokens)}, "

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # annotation-only: keeps core below algorithms in the DAG
     from ..algorithms.base import AlgorithmResult, SearchResult
+    from ..algorithms.topk import TopKResult
 
 from ..storage.invlist import InvertedIndex
 from .collection import SetCollection
@@ -25,7 +26,6 @@ from .properties import effective_threshold
 from .query import PreparedQuery
 from .similarity import idf_similarity
 from .tokenize import QGramTokenizer, Tokenizer
-from .topk import TopKResult, TopKSearcher
 
 DEFAULT_ALGORITHM = "sf"
 
@@ -71,7 +71,6 @@ class SetSimilaritySearcher:
             with_hash_index=with_hash_index,
             **index_options,
         )
-        self._topk = TopKSearcher(self.index, use_skip_lists=with_skip_lists)
 
     # ------------------------------------------------------------------
     def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
@@ -108,7 +107,11 @@ class SetSimilaritySearcher:
 
     def top_k(self, tokens: Sequence[str], k: int) -> TopKResult:
         """The k most similar sets (future-work extension, Section X)."""
-        return self._topk.search(self.prepare(tokens), k)
+        from ..algorithms.topk import TopKSearcher
+
+        return TopKSearcher(
+            self.index, use_skip_lists=self.index.with_skip_lists
+        ).search(self.prepare(tokens), k)
 
     def search_or_suggest(
         self,

@@ -42,6 +42,9 @@ from .service import ServiceResult, SimilarityService
 
 DEFAULT_THRESHOLD = 0.7
 MAX_BODY_BYTES = 4 * 1024 * 1024
+IDLE_TIMEOUT_SECONDS = 30.0
+"""How long a connection may sit idle before the server closes it, so a
+silent HTTP/1.1 keep-alive client cannot hold a handler thread forever."""
 
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
@@ -53,6 +56,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """
 
     protocol_version = "HTTP/1.1"
+    # Socket timeout for every read and write on the connection; an idle
+    # keep-alive connection times out while waiting for its next request.
+    timeout = IDLE_TIMEOUT_SECONDS
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:
@@ -324,4 +330,4 @@ class ServiceHTTPServer:
         self.shutdown()
 
 
-__all__ = ["ServiceHTTPServer", "DEFAULT_THRESHOLD"]
+__all__ = ["ServiceHTTPServer", "DEFAULT_THRESHOLD", "IDLE_TIMEOUT_SECONDS"]

@@ -557,28 +557,17 @@ class SimilarityService:
                     hit, tau, algorithm, cached=True, wall_seconds=wall,
                 )
         prepared = self.prepare(tokens)
-        if deadline is None:
-            out = ServiceResult(
-                self._execute_resilient(tokens, prepared, tau, algorithm),
-                tau,
-                algorithm,
-            )
-        else:
+        future = None
+        if deadline is not None:
             future = self._pool().submit(
                 self._execute_resilient, tokens, prepared, tau, algorithm
             )
-            out = self._collect_with_deadline(
-                future, tokens, prepared, tau, algorithm, deadline
-            )
-        if (
-            self._results is not None
-            and not out.degraded
-            and out.result is not None
-        ):
-            self._results.put(key, version, out.result)
+        out = self._settle(
+            future, tokens, prepared, tau, algorithm, deadline, key, version
+        )
         out.wall_seconds = time.perf_counter() - started
         self._observe_latency(out.wall_seconds)
-        self._count(queries=1, degraded=1 if out.degraded else 0)
+        self._count(queries=1)
         return out
 
     def search_text(
@@ -643,6 +632,44 @@ class SimilarityService:
                 "Wall-clock latency of SimilarityService.search calls "
                 "(cache hits included).",
             ).observe(wall_seconds)
+
+    def _settle(
+        self,
+        future: "Optional[Future[AlgorithmResult]]",
+        tokens: Sequence[str],
+        prepared: PreparedQuery,
+        tau: float,
+        algorithm: str,
+        deadline: Optional[float],
+        key: Tuple,
+        version,
+        copies: int = 1,
+    ) -> ServiceResult:
+        """Finish one execution: await ``future`` (or, when it is
+        ``None``, run the query in the calling thread), degrading on a
+        deadline miss; cache the answer unless it is degraded, and count
+        a degraded answer once per query it serves (``copies``)."""
+        if future is None:
+            out = ServiceResult(
+                self._execute_resilient(tokens, prepared, tau, algorithm),
+                tau,
+                algorithm,
+            )
+        elif deadline is None:
+            out = ServiceResult(future.result(), tau, algorithm)
+        else:
+            out = self._collect_with_deadline(
+                future, tokens, prepared, tau, algorithm, deadline
+            )
+        if (
+            self._results is not None
+            and not out.degraded
+            and out.result is not None
+        ):
+            self._results.put(key, version, out.result)
+        if out.degraded:
+            self._count(degraded=copies)
+        return out
 
     def _collect_with_deadline(
         self,
@@ -826,25 +853,17 @@ class SimilarityService:
         #    future has been runnable at least that long, so no query is
         #    degraded for time it spent queued behind the batch.
         for key, indices, future in futures:
-            if deadline is None:
-                primary = ServiceResult(future.result(), tau, algorithm)
-            else:
-                primary = self._collect_with_deadline(
-                    future,
-                    queries[indices[0]],
-                    prepared[indices[0]],
-                    tau,
-                    algorithm,
-                    deadline,
-                )
-            if (
-                self._results is not None
-                and not primary.degraded
-                and primary.result is not None
-            ):
-                self._results.put(key, version, primary.result)
-            if primary.degraded:
-                self._count(degraded=len(indices))
+            primary = self._settle(
+                future,
+                queries[indices[0]],
+                prepared[indices[0]],
+                tau,
+                algorithm,
+                deadline,
+                key,
+                version,
+                copies=len(indices),
+            )
             out[indices[0]] = primary
             for duplicate in indices[1:]:
                 out[duplicate] = ServiceResult(

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import SetCollection, SetSimilaritySearcher
+from repro.algorithms.base import QueryLists
+from repro.algorithms.kernel import admission_bound, frontier_threshold
 from repro.core.errors import InvalidThresholdError
 from repro.core.properties import (
-    entry_precedes,
-    frontier_threshold,
+    best_case_score,
     lambda_cutoffs,
     length_bounds,
     magnitude_upper_bound,
@@ -20,6 +22,7 @@ from repro.core.properties import (
 )
 from repro.core.similarity import idf_similarity
 from repro.core.weights import IdfStatistics
+from repro.storage.pages import IOStats
 
 
 class TestValidateThreshold:
@@ -134,22 +137,33 @@ class TestLambdaCutoffs:
 
 class TestFrontierThreshold:
     def test_sum(self):
-        assert frontier_threshold([0.5, 0.25, 0.1]) == pytest.approx(0.85)
+        f = frontier_threshold([0.5, 0.25, 0.1], [False, False, False])
+        assert f == pytest.approx(0.85)
 
     def test_none_is_exhausted(self):
-        assert frontier_threshold([0.5, None, 0.1]) == pytest.approx(0.6)
+        # A complete list contributes nothing, whatever its last frontier.
+        f = frontier_threshold([0.5, 0.25, 0.1], [False, True, False])
+        assert f == pytest.approx(0.6)
 
     def test_all_exhausted(self):
-        assert frontier_threshold([None, None]) == 0.0
+        assert frontier_threshold([0.3, 0.2], [True, True]) == 0.0
 
 
 class TestMagnitudeBound:
     def test_basic(self):
-        ub = magnitude_upper_bound(2.0, 3.0, [6.0, 6.0], known_score=0.1)
-        assert ub == pytest.approx(0.1 + 12.0 / 6.0)
+        ub = magnitude_upper_bound(3.0, 2.0, 1.2, known_score=0.1)
+        assert ub == pytest.approx(0.1 + 1.2 / 6.0)
+        # Theorem 1 case 2 caps the bound at len(s)/len(q) ...
+        assert magnitude_upper_bound(2.0, 3.0, 12.0, 0.1) == pytest.approx(
+            2.0 / 3.0
+        )
+        # ... and the best case caps the open idf² at len(s)².
+        assert best_case_score(2.0, 3.0, 12.0) == pytest.approx(4.0 / 6.0)
+        assert best_case_score(3.0, 2.0, 1.2) == pytest.approx(1.2 / 6.0)
 
     def test_zero_denominator(self):
-        assert magnitude_upper_bound(0.0, 3.0, [1.0], 0.2) == 0.2
+        assert magnitude_upper_bound(0.0, 3.0, 1.0, 0.2) == 0.2
+        assert best_case_score(0.0, 3.0, 1.0) == 0.0
 
     @given(
         st.floats(min_value=0.1, max_value=50),
@@ -158,21 +172,59 @@ class TestMagnitudeBound:
         st.floats(min_value=0, max_value=1),
     )
     def test_at_least_known_score(self, slen, qlen, idf_sq, known):
-        assert (
-            magnitude_upper_bound(slen, qlen, idf_sq, known) >= known - 1e-12
-        )
+        ub = magnitude_upper_bound(slen, qlen, sum(idf_sq), known)
+        assert ub >= known - 1e-12
+        assert ub <= max(known, slen / qlen) + 1e-12
+
+
+@pytest.fixture(scope="module")
+def two_lists():
+    """Open lists for the query {a, b} over a tiny corpus."""
+    searcher = SetSimilaritySearcher(
+        SetCollection.from_token_sets([["a", "b"], ["a"], ["b", "c"]])
+    )
+    return QueryLists(searcher.index, searcher.prepare(["a", "b"]), IOStats())
 
 
 class TestOrderPreservation:
-    def test_entry_precedes_by_length(self):
-        assert entry_precedes(1.0, 99, 2.0, 1)
+    """A list whose frontier key has reached a set's ``(len, id)`` key
+    without showing the set cannot contain it, so the admission bound
+    leaves that list out."""
 
-    def test_entry_precedes_tie_by_id(self):
-        assert entry_precedes(1.0, 1, 1.0, 2)
-        assert not entry_precedes(1.0, 2, 1.0, 1)
+    @staticmethod
+    def bound(lists, frontier):
+        # A set of length 10 (so the len(s)² cap stays slack) first seen
+        # in list 0, with list 1's frontier at ``frontier``.
+        return admission_bound(
+            lists, 0, 10.0, 5, [False, False], [None, frontier]
+        )
 
-    def test_equal_entries_not_preceding(self):
-        assert not entry_precedes(1.0, 1, 1.0, 1)
+    @staticmethod
+    def bound_over(lists, *indexes):
+        open_idf_sq = sum(lists.idf_squared[i] for i in indexes)
+        return best_case_score(10.0, lists.query.length, open_idf_sq)
+
+    def test_entry_precedes_by_length(self, two_lists):
+        # A shorter frontier has not reached the set, whatever its id.
+        assert self.bound(two_lists, (9.0, 99)) == self.bound_over(
+            two_lists, 0, 1
+        )
+        assert self.bound(two_lists, (11.0, 1)) == self.bound_over(
+            two_lists, 0
+        )
+
+    def test_entry_precedes_tie_by_id(self, two_lists):
+        assert self.bound(two_lists, (10.0, 4)) == self.bound_over(
+            two_lists, 0, 1
+        )
+        assert self.bound(two_lists, (10.0, 6)) == self.bound_over(
+            two_lists, 0
+        )
+
+    def test_equal_entries_not_preceding(self, two_lists):
+        assert self.bound(two_lists, (10.0, 5)) == self.bound_over(
+            two_lists, 0
+        )
 
     def test_order_same_in_all_lists(self):
         # Property 1: with per-list contribution idf²/(len·len(q)), the

@@ -3,20 +3,39 @@
 
 import pytest
 
+from repro import SetCollection
+from repro.algorithms.base import QueryLists
 from repro.core.errors import EmptyQueryError
+from repro.core.properties import best_case_score, magnitude_upper_bound
 from repro.core.query import PreparedQuery, prepare
 from repro.core.weights import IdfStatistics
+from repro.storage.invlist import InvertedIndex
+from repro.storage.pages import IOStats
+
+SETS = [
+    {"common", "rare"},
+    {"common", "mid"},
+    {"common", "mid"},
+    {"common"},
+]
 
 
 @pytest.fixture()
 def stats():
-    sets = [
-        {"common", "rare"},
-        {"common", "mid"},
-        {"common", "mid"},
-        {"common"},
-    ]
-    return IdfStatistics.from_sets(sets)
+    return IdfStatistics.from_sets(SETS)
+
+
+@pytest.fixture()
+def open_lists():
+    """``QueryLists`` over an index of the same sets, per token list."""
+    collection = SetCollection.from_token_sets([sorted(s) for s in SETS])
+    index = InvertedIndex(collection)
+
+    def open_for(tokens):
+        query = PreparedQuery(tokens, collection.stats)
+        return QueryLists(index, query, IOStats())
+
+    return open_for
 
 
 class TestPreparedQuery:
@@ -72,33 +91,40 @@ class TestQueryMath:
         expected_last = q.idf_squared[2] / (0.8 * q.length)
         assert lam[2] == pytest.approx(expected_last)
 
-    def test_contribution_formula(self, stats):
-        q = PreparedQuery(["rare", "common"], stats)
+    def test_contribution_formula(self, open_lists):
+        lists = open_lists(["rare", "common"])
         slen = 2.5
-        assert q.contribution(0, slen) == pytest.approx(
-            q.idf_squared[0] / (slen * q.length)
+        assert lists.contribution(0, slen) == pytest.approx(
+            lists.idf_squared[0] / (slen * lists.query.length)
         )
 
-    def test_contribution_zero_guard(self, stats):
-        q = PreparedQuery(["rare"], stats)
-        assert q.contribution(0, 0.0) == 0.0
+    def test_contribution_zero_guard(self, open_lists):
+        assert open_lists(["rare"]).contribution(0, 0.0) == 0.0
 
     def test_max_unseen_score(self, stats):
         q = PreparedQuery(["rare", "mid", "common"], stats)
         slen = 2.0
-        expected = (q.idf_squared[0] + q.idf_squared[2]) / (slen * q.length)
-        assert q.max_unseen_score(slen, [0, 2]) == pytest.approx(expected)
+        open_idf_sq = q.idf_squared[0] + q.idf_squared[2]
+        expected = min(open_idf_sq, slen * slen) / (slen * q.length)
+        assert best_case_score(slen, q.length, open_idf_sq) == pytest.approx(
+            expected
+        )
 
     def test_perfect_score_length(self, stats):
-        q = PreparedQuery(["rare"], stats)
-        assert q.perfect_score_length() == pytest.approx(q.length)
+        # Only a set of length len(q) can score 1.0.
+        q = PreparedQuery(["rare", "mid"], stats)
+        everything = sum(q.idf_squared)
+        for bound in (best_case_score, magnitude_upper_bound):
+            assert bound(q.length, q.length, everything) == pytest.approx(1.0)
+            assert bound(0.9 * q.length, q.length, everything) < 1.0
+            assert bound(1.1 * q.length, q.length, everything) < 1.0
 
-    def test_self_similarity_via_contributions(self, stats):
+    def test_self_similarity_via_contributions(self, open_lists):
         # Summing a set's own contributions over all its tokens gives 1.0
         # when the set equals the query.
-        tokens = ["rare", "common"]
-        q = PreparedQuery(tokens, stats)
+        lists = open_lists(["rare", "common"])
         total = sum(
-            q.contribution(i, q.length) for i in range(len(tokens))
+            lists.contribution(i, lists.query.length)
+            for i in range(len(lists))
         )
         assert total == pytest.approx(1.0)

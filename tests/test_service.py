@@ -11,6 +11,7 @@ The contract under test, per ``docs/service.md``:
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -476,6 +477,28 @@ class TestHTTPServer:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(server.url + "/nope", timeout=10)
         assert exc.value.code == 404
+
+    def test_idle_keep_alive_connection_is_closed(self, server, monkeypatch):
+        from repro.service import httpd
+
+        handler = httpd._ServiceRequestHandler
+        assert handler.timeout == httpd.IDLE_TIMEOUT_SECONDS > 0
+        monkeypatch.setattr(handler, "timeout", 0.3)
+        with socket.create_connection(
+            (server.host, server.port), timeout=5.0
+        ) as conn:
+            conn.sendall(
+                b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+            )
+            received = b""
+            # The server answers, then closes the idle connection: recv
+            # reaches EOF instead of waiting out the client timeout.
+            while True:
+                chunk = conn.recv(4096)
+                if not chunk:
+                    break
+                received += chunk
+        assert received.startswith(b"HTTP/1.1 200")
 
     def test_metrics_endpoint_scrapes_prometheus_text(self, server):
         with obs_metrics.use_registry(obs_metrics.MetricsRegistry()):

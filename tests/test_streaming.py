@@ -11,6 +11,8 @@ from repro.algorithms.streaming import (
     stream_search,
 )
 from repro.core.errors import ConfigurationError
+from repro.core.tokenize import QGramTokenizer
+from repro.data.errors import apply_modifications
 from repro.storage.pages import IOStats
 
 
@@ -76,6 +78,36 @@ class TestStreamingCorrectness:
         searcher, _v = setup
         query = searcher.prepare(["zzz-not-in-corpus"])
         assert list(stream_search(searcher.index, query, 0.5)) == []
+
+
+class TestStreamingMatchesBatch:
+    """A fully consumed stream is the registered algorithm's batch run:
+    same answers with bit-identical scores, same I/O ledger."""
+
+    @pytest.mark.parametrize("algorithm", STREAMING_ALGORITHMS)
+    def test_answers_and_counters_identical(
+        self, word_searcher, word_database, algorithm
+    ):
+        _collection, words = word_database
+        rng = random.Random(240)
+        tok = QGramTokenizer(q=3)
+        for tau in (0.5, 0.7, 0.9):
+            for _ in range(20):
+                word = apply_modifications(rng.choice(words), 1, rng)
+                query = word_searcher.prepare(tok.tokens(word))
+                stats = IOStats()
+                streamed = sorted(
+                    (r.set_id, r.score)
+                    for r in stream_search(
+                        word_searcher.index, query, tau, algorithm,
+                        stats=stats,
+                    )
+                )
+                batch = word_searcher.search_prepared(query, tau, algorithm)
+                assert streamed == sorted(
+                    (r.set_id, r.score) for r in batch.results
+                ), (algorithm, tau, word)
+                assert stats.snapshot() == batch.stats.snapshot()
 
 
 class TestEarlyTermination:

@@ -6,7 +6,7 @@ import pytest
 
 from repro import SetCollection, SetSimilaritySearcher
 from repro.core.errors import ConfigurationError
-from repro.core.topk import TopKSearcher
+from repro.algorithms.topk import TopKSearcher
 
 
 def brute_topk(searcher, q, k):
