@@ -1,5 +1,6 @@
 """Tests for synthetic data generation, error models, and workloads."""
 
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from repro.data.synthetic import (
     WordLocation,
     build_word_collection,
     distinct_words,
+    generate_dblp_records,
     generate_records,
     generate_word_database,
     word_occurrences,
@@ -82,6 +84,37 @@ class TestRecords:
 
     def test_distinct_words_order(self):
         assert distinct_words(["b a", "a c"]) == ["b", "a", "c"]
+
+    # Pinned record for record: corpora, counters and benchmark results
+    # are all keyed by these streams, so a faster generator must keep them.
+    @pytest.mark.parametrize(
+        "num_records, num_authors, seed, digest, head",
+        [
+            (
+                500, 800, 2008,
+                "4fc2e314d0dcebb0c4a57027f7e836"
+                "3af55941223308375d121ef851e148313e",
+                "fieldsteins ing databases indexing approximate databases",
+            ),
+            (
+                300, 50, 7,
+                "22f6cdb61a5c27020cc701b0e8dacf"
+                "9782e311d99817e185736f4d555c489ec1",
+                "madorerel mioron jzoman efficient joins robust scalable "
+                "efficient indexing scalable similarity",
+            ),
+        ],
+    )
+    def test_dblp_records_pinned(
+        self, num_records, num_authors, seed, digest, head
+    ):
+        records = generate_dblp_records(
+            num_records, num_authors=num_authors, seed=seed
+        )
+        assert len(records) == num_records
+        assert records[0] == head
+        joined = "\n".join(records).encode()
+        assert hashlib.sha256(joined).hexdigest() == digest
 
 
 class TestWordDatabase:
