@@ -93,12 +93,14 @@ class Hybrid(SelectionAlgorithm):
             for i, cursor in enumerate(cursors):
                 if complete[i]:
                     continue
-                if cursor.exhausted() or cursor.peek()[0] > min(
-                    hi, max(candidates.max_length(), lambda_cutoff())
+                if cursor.exhausted() or (
+                    (head := cursor.peek()[0]) > hi
+                    or (head > lambda_cutoff() and head > candidates.max_length())
                 ):
-                    # SF's stop condition, applied per list in round-robin:
-                    # nothing unread in this list can matter.  Stop without
-                    # consuming the posting.
+                    # SF's stop condition, head > min(hi, max(max_len(C), Λ)),
+                    # applied per list in round-robin: nothing unread in this
+                    # list can matter.  Stop without consuming the posting.
+                    # The O(lists) max_len(C) is asked only past Λ.
                     complete[i] = True
                     frontier_contrib[i] = 0.0
                     open_idf_sq -= lists.idf_squared[i]

@@ -126,8 +126,9 @@ class ShortestFirst(SelectionAlgorithm):
 
             while not cursor.exhausted():
                 length, set_id = cursor.peek()
-                max_len_c = self._live_tail_length(sorted_cands, by_id)
-                if length > mu and length > max_len_c:
+                if length > mu and length > self._live_tail_length(
+                    sorted_cands, by_id
+                ):
                     break  # Algorithm 3 stop: len(s) > max(max_len(C), µ_i)
                 cursor.next()
                 key = (length, set_id)

@@ -22,6 +22,7 @@ distributional shape matters, and that is controlled here directly.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.collection import SetCollection
@@ -112,12 +113,14 @@ def generate_records(
     """
     rng = random.Random(seed)
     vocab = WordGenerator(seed).vocabulary(vocabulary_size)
-    weights = zipf_weights(vocabulary_size, zipf_exponent)
+    # Cumulative weights once: ``weights=`` would re-sum the whole
+    # vocabulary per record.  The random stream is the same either way.
+    cum_weights = list(accumulate(zipf_weights(vocabulary_size, zipf_exponent)))
     lo, hi = words_per_record
     records = []
     for _ in range(num_records):
         k = rng.randint(lo, hi)
-        records.append(" ".join(rng.choices(vocab, weights=weights, k=k)))
+        records.append(" ".join(rng.choices(vocab, cum_weights=cum_weights, k=k)))
     return records
 
 
@@ -191,13 +194,13 @@ def generate_dblp_records(
     """
     rng = random.Random(seed)
     authors = WordGenerator(seed + 1).vocabulary(num_authors)
-    author_weights = zipf_weights(num_authors, 0.8)
-    title_weights = zipf_weights(len(_TITLE_WORDS), 0.7)
+    author_cum = list(accumulate(zipf_weights(num_authors, 0.8)))
+    title_cum = list(accumulate(zipf_weights(len(_TITLE_WORDS), 0.7)))
     records = []
     for _ in range(num_records):
-        names = rng.choices(authors, weights=author_weights,
+        names = rng.choices(authors, cum_weights=author_cum,
                             k=rng.randint(2, 3))
-        title = rng.choices(_TITLE_WORDS, weights=title_weights,
+        title = rng.choices(_TITLE_WORDS, cum_weights=title_cum,
                             k=rng.randint(4, 8))
         records.append(" ".join(names + title))
     return records

@@ -34,7 +34,7 @@ from ..core.errors import IndexNotBuiltError
 from ..faults import runtime as faults_runtime
 from ..obs import trace as obs_trace
 from .exthash import ExtendibleHash
-from .pages import DEFAULT_PAGE_CAPACITY, IOStats, PagedFile
+from .pages import DEFAULT_PAGE_CAPACITY, IOStats, PagedFile, SequentialCursor
 from .skiplist import SkipList
 
 POSTING_BYTES = 16  # 8-byte set id + 8-byte length
@@ -73,7 +73,7 @@ class TokenPostings:
         return len(self.weight_file)
 
 
-class WeightOrderCursor:
+class WeightOrderCursor(SequentialCursor):
     """Forward cursor over one weight-ordered list, with length seeking.
 
     Entries are ``(length, set_id)`` tuples in increasing order.  The cursor
@@ -84,7 +84,7 @@ class WeightOrderCursor:
     (the NSL mode of Figure 9).
     """
 
-    __slots__ = ("_postings", "_cursor", "_stats", "_use_skip")
+    __slots__ = ("_postings", "_use_skip")
 
     def __init__(
         self,
@@ -92,27 +92,17 @@ class WeightOrderCursor:
         stats: Optional[IOStats],
         use_skip_list: bool = True,
     ) -> None:
+        super().__init__(postings.weight_file, stats)
         self._postings = postings
-        self._stats = stats
-        self._cursor = postings.weight_file.cursor(stats)
         self._use_skip = use_skip_list and postings.skip is not None
 
-    # ------------------------------------------------------------------
-    def exhausted(self) -> bool:
-        return self._cursor.exhausted()
-
-    def peek(self) -> Tuple[float, int]:
-        return self._cursor.peek()
-
-    def next(self) -> Tuple[float, int]:
-        return self._cursor.next()
-
-    @property
-    def position(self) -> int:
-        return self._cursor.position
-
-    def __len__(self) -> int:
-        return len(self._postings)
+    # Bound here too, so per-class wrappers (span tracing) find every
+    # cursor method in this class's own namespace.
+    exhausted = SequentialCursor.exhausted
+    peek = SequentialCursor.peek
+    next = SequentialCursor.next
+    position = SequentialCursor.position
+    __len__ = SequentialCursor.__len__
 
     @property
     def token(self) -> str:
@@ -126,24 +116,21 @@ class WeightOrderCursor:
         if self.peek()[0] >= lo:
             return
         tracer = obs_trace.current()
-        before = self._cursor.position
+        before = self._pos
         if self._use_skip:
             target = self._postings.skip.seek_ge((lo, -1), self._stats)
-            if target > self._cursor.position:
-                self._cursor.jump(target)
+            if target > self._pos:
+                self.jump(target)
             # Thinned skip lists land at or before the true boundary;
-            # finish with a short sequential walk.
-            while not self.exhausted() and self.peek()[0] < lo:
-                self.next()
-        else:
-            while not self.exhausted() and self.peek()[0] < lo:
-                self.next()
+            # the walk below finishes the seek.
+        while not self.exhausted() and self.peek()[0] < lo:
+            self.next()
         if tracer is not None:
             tracer.event(
                 "list.seek",
                 token=self.token,
                 lo=lo,
-                skipped=self._cursor.position - before,
+                skipped=self._pos - before,
                 via="skip" if self._use_skip else "scan",
             )
 
@@ -194,35 +181,18 @@ class CheckedWeightOrderCursor(WeightOrderCursor):
             )
 
 
-class IdOrderCursor:
+class IdOrderCursor(SequentialCursor):
     """Forward cursor over one id-ordered list (entries ``(set_id, length)``)."""
 
-    __slots__ = ("_postings", "_cursor", "token")
+    __slots__ = ("token",)
 
     def __init__(self, postings: TokenPostings, stats: Optional[IOStats]):
         if postings.id_file is None:
             raise IndexNotBuiltError(
                 f"id-ordered list for token {postings.token!r} was not built"
             )
-        self._postings = postings
+        super().__init__(postings.id_file, stats)
         self.token = postings.token
-        self._cursor = postings.id_file.cursor(stats)
-
-    def exhausted(self) -> bool:
-        return self._cursor.exhausted()
-
-    def peek(self) -> Tuple[int, float]:
-        return self._cursor.peek()
-
-    def next(self) -> Tuple[int, float]:
-        return self._cursor.next()
-
-    @property
-    def position(self) -> int:
-        return self._cursor.position
-
-    def __len__(self) -> int:
-        return len(self._postings)
 
 
 class InvertedIndex:

@@ -201,14 +201,18 @@ class PagedFile:
 class SequentialCursor:
     """Forward-only cursor over a :class:`PagedFile` with page accounting.
 
-    The first read charges a sequential page; subsequent reads charge one
-    more page each time the cursor crosses a page boundary.  ``jump(pos)``
-    repositions the cursor, charging one *random* page read (the seek that a
-    skip-list jump or an index-guided skip would cost on disk) unless the
-    target lies in the page already buffered.
+    The cursor buffers one page at a time.  A read inside the buffered
+    page is one integer compare against ``_page_end``; entering a new page
+    fires the ``storage.read_page`` fault point and charges the page, keyed
+    ``(id(file), page)``: sequentially on a read, randomly on ``jump(pos)``
+    (the seek that a skip-list jump or an index-guided skip would cost on
+    disk).  The cursor sees the records the file held when it was opened.
+    The weight- and id-order list cursors of :mod:`repro.storage.invlist`
+    are subclasses, so a posting read is one frame.
     """
 
-    __slots__ = ("_file", "_stats", "_pos", "_buffered_page")
+    __slots__ = ("_file", "_records", "_len", "_cap", "_stats", "_pos",
+                 "_page_end")
 
     def __init__(
         self, file: PagedFile, stats: Optional[IOStats], start: int = 0
@@ -216,22 +220,29 @@ class SequentialCursor:
         if start < 0:
             raise StorageError("cursor start must be non-negative")
         self._file = file
+        self._records = file._records
+        self._len = len(file._records)
+        self._cap = file.page_capacity
         self._stats = stats
         self._pos = start
-        self._buffered_page: Optional[int] = None
+        # End of the buffered page, clipped to the file; 0 = none buffered.
+        # Positions only grow, so ``pos < _page_end`` means "buffered".
+        self._page_end = 0
 
     @property
     def position(self) -> int:
         return self._pos
 
-    def exhausted(self) -> bool:
-        return self._pos >= len(self._file)
+    def __len__(self) -> int:
+        return self._len
 
-    def _charge_for(self, page: int, random: bool) -> None:
-        if page == self._buffered_page:
-            return
-        # Fault point sits past the buffered-page early-out, so it fires
-        # once per physical page read — where a real disk would fail.
+    def exhausted(self) -> bool:
+        return self._pos >= self._len
+
+    def _enter_page(self, random: bool) -> None:
+        """Read the page under the cursor into the buffer."""
+        page = self._pos // self._cap
+        # The one place a cursor touches disk, and so where it can fail.
         faults_runtime.maybe_fire("storage.read_page")
         if self._stats is not None:
             key = (id(self._file), page)
@@ -239,22 +250,28 @@ class SequentialCursor:
                 self._stats.charge_random_page(key=key)
             else:
                 self._stats.charge_sequential_page(key=key)
-        self._buffered_page = page
+        self._page_end = min((page + 1) * self._cap, self._len)
 
     def peek(self) -> Any:
         """Read the record under the cursor without advancing."""
-        if self.exhausted():
-            raise StorageError("cursor exhausted")
-        self._charge_for(self._file.page_of(self._pos), random=False)
-        return self._file._records[self._pos]
+        pos = self._pos
+        if pos >= self._page_end:
+            if pos >= self._len:
+                raise StorageError("cursor exhausted")
+            self._enter_page(False)
+        return self._records[pos]
 
     def next(self) -> Any:
         """Read the record under the cursor and advance past it."""
-        record = self.peek()
+        pos = self._pos
+        if pos >= self._page_end:
+            if pos >= self._len:
+                raise StorageError("cursor exhausted")
+            self._enter_page(False)
         if self._stats is not None:
             self._stats.charge_element()
-        self._pos += 1
-        return record
+        self._pos = pos + 1
+        return self._records[pos]
 
     def skip(self, count: int = 1) -> None:
         """Advance without reading (no element charge; pages skipped are not
@@ -266,8 +283,8 @@ class SequentialCursor:
         if position < self._pos:
             raise StorageError("cursor cannot move backwards")
         self._pos = position
-        if position < len(self._file):
-            self._charge_for(self._file.page_of(position), random=True)
+        if self._page_end <= position < self._len:
+            self._enter_page(True)
 
 
 def bytes_human(n: float) -> str:

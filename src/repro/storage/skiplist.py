@@ -13,7 +13,8 @@ trailing one-bits of the element's ordinal), which gives the classic
 reproducible, and matches the balanced shape a bulk-loaded disk skip list
 would have.  Searches charge one ``skip_jump`` per node visited, and the
 final landing charges one random page read on the target cursor (performed
-by the caller via ``SequentialCursor.jump``).
+by ``WeightOrderCursor.seek_length_ge`` through its inherited
+``SequentialCursor.jump``, unless the target page is already buffered).
 
 The paper caps skip lists at 10 MB per inverted list; :class:`SkipList`
 accepts a ``max_bytes`` budget and thins its towers (keeping only every k-th

@@ -66,15 +66,20 @@ class TestAlgorithmResult:
     def test_pruning_power_overcount_raises_under_invariants(self):
         # The old behavior silently clamped elements_read down to
         # elements_total, masking accounting bugs; with invariants armed
-        # (the whole suite runs with REPRO_CHECK_INVARIANTS=1) an
-        # over-counted per-query ledger is now a contract violation.
-        from repro.contracts import ContractViolation
+        # an over-counted per-query ledger is now a contract violation.
+        # Armed here, not taken from the environment, so the test also
+        # holds in a REPRO_CHECK_INVARIANTS=0 run.
+        from repro.contracts import ContractViolation, set_invariant_checking
 
         stats = IOStats()
         stats.charge_element(500)
         result = AlgorithmResult("x", [], stats, elements_total=100)
-        with pytest.raises(ContractViolation, match="io-accounting"):
-            result.pruning_power
+        previous = set_invariant_checking(True)
+        try:
+            with pytest.raises(ContractViolation, match="io-accounting"):
+                result.pruning_power
+        finally:
+            set_invariant_checking(previous)
 
     def test_pruning_power_shared_stats_clamps(self):
         # Batched execution charges one ledger for the whole batch, so
