@@ -27,6 +27,7 @@ import time
 from pathlib import Path
 
 from repro import ServiceConfig, SimilarityService
+from repro.algorithms.batch import BatchSelector
 from repro.data.workloads import make_traffic
 from repro.eval.harness import format_table
 
@@ -145,7 +146,7 @@ def test_shared_scan_reads_fewer_elements(context, default_workload):
     # The shared scan touches each subscribed list once over the union
     # window; on an overlapping workload that is strictly less element
     # traffic than per-query execution.
-    selector = service._backend.batch_selector()
+    selector = BatchSelector(searcher.index)
     _results, shared_stats = selector.search_many(
         [searcher.prepare(tokens) for tokens in token_lists], TAU
     )
@@ -164,23 +165,24 @@ def test_shared_scan_reads_fewer_elements(context, default_workload):
 
 def test_deadline_degrades_instead_of_blocking(context, default_workload):
     searcher = context.searcher
-    service = SimilarityService(
-        searcher, config=ServiceConfig(algorithm="nra")
-    )
-    backend = service._backend
-    original = backend.execute
+    original = searcher.search_prepared
 
-    def slow_primary(tokens, prepared, tau, algorithm):
+    def slow_primary(prepared, tau, algorithm):
         if algorithm == "nra":
             time.sleep(0.5)
-        return original(tokens, prepared, tau, algorithm)
+        return original(prepared, tau, algorithm)
 
-    backend.execute = slow_primary
+    searcher.search_prepared = slow_primary
     tokens = _tokens_of(context, default_workload)[0]
-    with service:
-        started = time.perf_counter()
-        result = service.search(tokens, TAU, deadline=0.05)
-        elapsed = time.perf_counter() - started
+    try:
+        with SimilarityService(
+            searcher, config=ServiceConfig(algorithm="nra")
+        ) as service:
+            started = time.perf_counter()
+            result = service.search(tokens, TAU, deadline=0.05)
+            elapsed = time.perf_counter() - started
+    finally:
+        del searcher.search_prepared
     assert result.degraded and result.ok
     assert result.degraded_tau > TAU
     assert elapsed < 0.5  # answered before the primary would have

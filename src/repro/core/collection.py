@@ -111,6 +111,9 @@ class SetCollection:
         (they simply never match anything)."""
         if self._frozen:
             raise ConfigurationError("collection is frozen; cannot add")
+        return self._append(tokens, payload)
+
+    def _append(self, tokens: Sequence[str], payload: Any) -> int:
         counts = tf_counts(list(tokens))
         rec = SetRecord(
             set_id=len(self._records),

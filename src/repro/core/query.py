@@ -33,9 +33,13 @@ class PreparedQuery:
         ``idf(t)²`` for each token, aligned with :attr:`tokens`.
     length:
         Normalized query length ``len(q)``.
+    stats:
+        The :class:`IdfStatistics` the weights were taken from.
     """
 
-    __slots__ = ("tokens", "idf_squared", "length", "_source", "_index_of")
+    __slots__ = (
+        "tokens", "idf_squared", "length", "stats", "_source", "_index_of",
+    )
 
     def __init__(self, tokens: Sequence[str], stats: IdfStatistics) -> None:
         distinct = sorted(frozenset(tokens))
@@ -50,10 +54,19 @@ class PreparedQuery:
         # Computed via stats.length (sorted-token summation) so a query equal
         # to a stored set gets the bit-identical normalized length.
         self.length: float = stats.length(distinct)
+        self.stats = stats
         self._source = tuple(tokens)
         self._index_of: Dict[str, int] = {
             t: i for i, t in enumerate(self.tokens)
         }
+
+    def under(self, stats: IdfStatistics) -> "PreparedQuery":
+        """This query weighted by ``stats``: itself when it already is,
+        else re-prepared from the same tokens (an epoch rebuild replaces
+        the statistics a query was prepared against)."""
+        if stats is self.stats:
+            return self
+        return PreparedQuery(self._source, stats)
 
     # ------------------------------------------------------------------
     @property

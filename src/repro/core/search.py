@@ -63,7 +63,6 @@ class SetSimilaritySearcher:
         with_hash_index: bool = True,
         **index_options: Any,
     ) -> None:
-        self.collection = collection
         self.index = InvertedIndex(
             collection,
             with_id_lists=with_id_lists,
@@ -71,6 +70,17 @@ class SetSimilaritySearcher:
             with_hash_index=with_hash_index,
             **index_options,
         )
+
+    @property
+    def collection(self) -> SetCollection:
+        return self.index.collection
+
+    @property
+    def version(self) -> Tuple[Any, ...]:
+        """Cache-invalidation token: changes whenever the indexed content
+        does (the service layer stamps its cache entries with it)."""
+        collection = self.collection
+        return (id(collection), collection.generation)
 
     # ------------------------------------------------------------------
     def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
@@ -96,22 +106,29 @@ class SetSimilaritySearcher:
         algorithm: str = DEFAULT_ALGORITHM,
         **algorithm_options: Any,
     ) -> AlgorithmResult:
+        """Run a prepared query on the current index.
+
+        The index is read once, so the whole query sees one snapshot; a
+        query prepared under other statistics is re-prepared under the
+        snapshot's.
+        """
+        index = self.index
+        query = query.under(index.collection.stats)
         if algorithm == "auto":
             from .analysis import choose_algorithm
 
-            algorithm = choose_algorithm(self.index, query, threshold)
-        alg = _algorithm_factory()(
-            algorithm, self.index, **algorithm_options
-        )
+            algorithm = choose_algorithm(index, query, threshold)
+        alg = _algorithm_factory()(algorithm, index, **algorithm_options)
         return alg.search(query, threshold)
 
     def top_k(self, tokens: Sequence[str], k: int) -> TopKResult:
         """The k most similar sets (future-work extension, Section X)."""
         from ..algorithms.topk import TopKSearcher
 
+        index = self.index
         return TopKSearcher(
-            self.index, use_skip_lists=self.index.with_skip_lists
-        ).search(self.prepare(tokens), k)
+            index, use_skip_lists=index.with_skip_lists
+        ).search(PreparedQuery(tokens, index.collection.stats), k)
 
     def search_or_suggest(
         self,

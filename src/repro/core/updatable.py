@@ -5,36 +5,43 @@ the global corpus (``N`` and each ``N(t)``), so inserting one set shifts
 *every* normalized length and every stored posting order.  Real deployments
 still need inserts; the standard resolution (used by search engines) is
 *epoching*: scores are defined against a statistics snapshot, new data is
-absorbed into a small delta index immediately, and a rebuild refreshes the
-snapshot when the delta grows past a bound.
+scored with that snapshot, and a rebuild refreshes the snapshot once
+enough data has arrived.
 
-:class:`UpdatableSearcher` implements exactly that contract:
+With the statistics pinned, ``len(s)`` of an inserted set is fixed, so an
+insert adds one ``(len(s), id)`` posting to each of its tokens' lists and
+Order Preservation (Property 1) keeps every list sorted.
+:class:`UpdatableSearcher` implements that contract over one index:
 
-* ``add(tokens, payload)`` — visible to the *next* query, O(delta rebuild);
+* ``add(tokens, payload)`` — visible to the *next* query; it costs the
+  rebuild of the lists the set touches
+  (:meth:`~repro.storage.invlist.InvertedIndex.with_set`), every other
+  list is shared with the previous index;
 * scores are always computed with the **current epoch's statistics** (the
   corpus as of the last :meth:`rebuild`); this is documented, observable
   (:attr:`epoch`), and tested — after ``rebuild()`` results equal a fresh
   build over everything;
-* ``auto_rebuild_fraction`` — rebuild automatically once the delta exceeds
-  that fraction of the base (default 25 %), bounding the drift window.
+* ``auto_rebuild_fraction`` — rebuild automatically once the sets added
+  since the epoch began exceed that fraction of the epoch's sets (default
+  25 %), bounding the drift window.
 
-Queries fan out to the base index and the delta index and merge, so search
-cost stays near the static index's until a rebuild amortizes the inserts.
+The one snapshot reference is :attr:`index`: writers publish a new index
+under a lock and never mutate a published one, and every query reads the
+reference once, so a query sees one epoch and one set of inserts.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+import threading
+from typing import Any, Iterable, Optional, Sequence, Tuple
 
-from ..algorithms.base import AlgorithmResult, SearchResult
-from ..storage.pages import IOStats
-from .collection import SetCollection
+from .collection import SetCollection, SetRecord
 from .errors import ConfigurationError
 from .search import SetSimilaritySearcher
 
 
-class UpdatableSearcher:
-    """Insert-friendly wrapper: base index + delta index + epoch rebuilds."""
+class UpdatableSearcher(SetSimilaritySearcher):
+    """A searcher that takes inserts, scored with per-epoch statistics."""
 
     def __init__(
         self,
@@ -47,134 +54,93 @@ class UpdatableSearcher:
                 "auto_rebuild_fraction must be in (0, 1]"
             )
         self.auto_rebuild_fraction = auto_rebuild_fraction
-        self.epoch = 0
-        self._all_tokens: List[List[str]] = []
-        self._all_payloads: List[Any] = []
-        if initial_sets:
-            for i, tokens in enumerate(initial_sets):
-                payload = payloads[i] if payloads is not None else None
-                self._all_tokens.append(list(tokens))
-                self._all_payloads.append(payload)
-        self._base_size = len(self._all_tokens)
-        self._base = self._build(self._all_tokens, self._all_payloads)
-        self._delta: Optional[SetSimilaritySearcher] = None
+        self._writer = threading.RLock()
+        initial = SetCollection.from_token_sets(initial_sets or (), payloads)
+        self._publish(_EpochCollection(0, initial))
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _build(token_lists, payloads) -> SetSimilaritySearcher:
-        coll = SetCollection()
-        for tokens, payload in zip(token_lists, payloads):
-            coll.add(tokens, payload=payload)
-        coll.freeze()
-        return SetSimilaritySearcher(
-            coll, with_id_lists=False, with_hash_index=False
+    def _publish(self, collection: "_EpochCollection") -> None:
+        """Build the epoch's index and make it the published one."""
+        super().__init__(
+            collection, with_id_lists=False, with_hash_index=False
         )
+
+    # Bound here too, so per-class wrappers (span tracing) find it in
+    # this class's own namespace.
+    search = SetSimilaritySearcher.search
+
+    @property
+    def epoch(self) -> int:
+        """How many rebuilds have refreshed the statistics."""
+        return self.index.collection.epoch
 
     @property
     def stats_epoch(self):
         """The statistics snapshot every score is computed against."""
-        return self._base.collection.stats
+        return self.index.collection.stats
 
     def __len__(self) -> int:
-        return len(self._all_tokens)
+        return self.index.num_sets
 
     @property
     def pending(self) -> int:
         """Sets inserted since the current epoch's snapshot."""
-        return len(self._all_tokens) - self._base_size
+        index = self.index
+        return index.num_sets - index.collection.stats.num_sets
 
     @property
-    def version(self):
+    def version(self) -> Tuple[int, int]:
         """Cache-invalidation token: changes on every insert and rebuild.
 
-        The service layer keys its result cache on this value, so any
-        mutation — an insert absorbed by the delta index or an epoch
-        rebuild — invalidates stale cached answers."""
-        return (self.epoch, len(self._all_tokens))
+        Both parts come from one read of the published index, so a
+        token always names the snapshot a query would search."""
+        index = self.index
+        return (index.collection.epoch, index.num_sets)
 
     # ------------------------------------------------------------------
     def add(self, tokens: Sequence[str], payload: Any = None) -> int:
         """Insert one set; returns its id.  Visible to the next query."""
-        set_id = len(self._all_tokens)
-        self._all_tokens.append(list(tokens))
-        self._all_payloads.append(payload)
-        self._rebuild_delta()
-        if self.pending >= self.auto_rebuild_fraction * max(self._base_size, 1):
-            self.rebuild()
-        return set_id
-
-    def _rebuild_delta(self) -> None:
-        """Delta index over pending sets, scored with the epoch's stats.
-
-        Ids in the delta collection are offset by the base size; queries
-        translate them back.
-        """
-        pending_tokens = self._all_tokens[self._base_size :]
-        pending_payloads = self._all_payloads[self._base_size :]
-        if not pending_tokens:
-            self._delta = None
-            return
-        coll = _EpochCollection(self._base.collection.stats)
-        for tokens, payload in zip(pending_tokens, pending_payloads):
-            coll.add(tokens, payload=payload)
-        coll.freeze()
-        self._delta = SetSimilaritySearcher(
-            coll, with_id_lists=False, with_hash_index=False
-        )
+        with self._writer:
+            index = self.index
+            collection = index.collection
+            set_id = collection.add(tokens, payload)
+            self.index = index.with_set(
+                set_id, collection[set_id].tokens, collection.length(set_id)
+            )
+            base = collection.stats.num_sets
+            if self.pending >= self.auto_rebuild_fraction * max(base, 1):
+                self.rebuild()
+            return set_id
 
     def rebuild(self) -> int:
-        """Start a new epoch: fold all pending sets into the base index and
-        refresh the statistics snapshot.  Returns the new epoch number."""
-        self._base = self._build(self._all_tokens, self._all_payloads)
-        self._base_size = len(self._all_tokens)
-        self._delta = None
-        self.epoch += 1
-        return self.epoch
-
-    # ------------------------------------------------------------------
-    def search(
-        self, tokens: Sequence[str], threshold: float,
-        algorithm: str = "sf",
-    ) -> AlgorithmResult:
-        """Selection over base + pending sets (epoch-stats scoring)."""
-        base_result = self._base.search(tokens, threshold, algorithm)
-        if self._delta is None:
-            return base_result
-        delta_result = self._delta.search(tokens, threshold, algorithm)
-        merged = list(base_result.results) + [
-            SearchResult(r.set_id + self._base_size, r.score)
-            for r in delta_result.results
-        ]
-        stats = IOStats()
-        stats.add(base_result.stats)
-        stats.add(delta_result.stats)
-        return AlgorithmResult(
-            algorithm=base_result.algorithm,
-            results=merged,
-            stats=stats,
-            elements_total=(
-                base_result.elements_total + delta_result.elements_total
-            ),
-            wall_seconds=(
-                base_result.wall_seconds + delta_result.wall_seconds
-            ),
-            peak_candidates=max(
-                base_result.peak_candidates, delta_result.peak_candidates
-            ),
-        )
+        """Start a new epoch: refresh the statistics snapshot from every
+        set and rebuild the index.  Returns the new epoch number."""
+        with self._writer:
+            collection = self.index.collection
+            self._publish(_EpochCollection(collection.epoch + 1, collection))
+            return self.epoch
 
     def payload(self, set_id: int) -> Any:
-        return self._all_payloads[set_id]
+        return self.collection.payload(set_id)
 
 
 class _EpochCollection(SetCollection):
-    """A collection whose statistics are pinned to an existing snapshot."""
+    """One epoch's sets, with statistics pinned when it is made.
 
-    def __init__(self, pinned_stats) -> None:
+    Sets added later are scored with the pinned statistics, so no stored
+    length ever shifts.  A rebuild makes a new collection over the same
+    records.
+    """
+
+    def __init__(self, epoch: int, records: Iterable[SetRecord]) -> None:
         super().__init__()
-        self._pinned = pinned_stats
+        self.epoch = epoch
+        self._records = list(records)
+        self.freeze()
+        self.lengths()  # pin the statistics and every length now
 
-    @property
-    def stats(self):
-        self._require_frozen()
-        return self._pinned
+    def add(self, tokens: Sequence[str], payload: Any = None) -> int:
+        tokens = list(tokens)
+        # The length goes in first: a reader that sees the record can
+        # always look its length up.
+        self._lengths.append(self._stats.length(tokens))
+        return self._append(tokens, payload)

@@ -8,7 +8,7 @@ wraps a :class:`~repro.core.search.SetSimilaritySearcher` (or an
 * caches **prepared queries** (token idf weights, ``len(q)``, the
   Theorem 1 window machinery) and **results** in generation-checked LRU
   caches (:mod:`repro.service.cache`) — any index mutation changes the
-  backend's version token and lazily invalidates both;
+  searcher's version token and lazily invalidates both;
 * executes **batches** on a ``ThreadPoolExecutor`` with per-query
   ``IOStats`` isolation (every execution opens its own cursors and
   ledger; the index structures are read-only during search), sorting the
@@ -45,7 +45,6 @@ from ..algorithms.batch import BatchSelector, batch_overlap_factor
 from ..core.errors import ConfigurationError, EmptyQueryError
 from ..core.query import PreparedQuery
 from ..core.search import SetSimilaritySearcher
-from ..core.updatable import UpdatableSearcher
 from ..faults import runtime as faults_runtime
 from ..obs import metrics as obs_metrics
 from .cache import (
@@ -88,8 +87,6 @@ class ServiceConfig:
     degrade_tighten:
         How far the fallback cutoff moves from ``tau`` toward ``1.0``
         on a deadline miss: ``tau' = tau + degrade_tighten * (1 - tau)``.
-    locality_sort:
-        Sort batches by rarest-token key before dispatch.
     retry_attempts / retry_base_delay / retry_max_delay / retry_seed:
         Bounded-retry policy for transient backend I/O failures
         (:class:`~repro.service.resilience.RetryPolicy`): total tries,
@@ -110,7 +107,6 @@ class ServiceConfig:
         "prepared_cache_size",
         "deadline_seconds",
         "degrade_tighten",
-        "locality_sort",
         "retry_attempts",
         "retry_base_delay",
         "retry_max_delay",
@@ -128,7 +124,6 @@ class ServiceConfig:
         prepared_cache_size: int = 4096,
         deadline_seconds: Optional[float] = None,
         degrade_tighten: float = 0.5,
-        locality_sort: bool = True,
         retry_attempts: int = 3,
         retry_base_delay: float = 0.05,
         retry_max_delay: float = 1.0,
@@ -157,7 +152,6 @@ class ServiceConfig:
         self.prepared_cache_size = prepared_cache_size
         self.deadline_seconds = deadline_seconds
         self.degrade_tighten = degrade_tighten
-        self.locality_sort = locality_sort
         self.retry_attempts = retry_attempts
         self.retry_base_delay = retry_base_delay
         self.retry_max_delay = retry_max_delay
@@ -260,80 +254,12 @@ class ServiceResult:
 
 
 # ----------------------------------------------------------------------
-# backends
-# ----------------------------------------------------------------------
-class _SearcherBackend:
-    """Static index backend over a :class:`SetSimilaritySearcher`."""
-
-    def __init__(self, searcher: SetSimilaritySearcher) -> None:
-        self.searcher = searcher
-        # Force the lazy corpus statistics and lengths now, so worker
-        # threads never race to initialize them mid-batch.
-        collection = searcher.collection
-        if collection.frozen and len(collection):
-            collection.stats
-            collection.lengths()
-
-    def version(self) -> Tuple[Any, ...]:
-        collection = self.searcher.collection
-        return (id(collection), collection.generation)
-
-    def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
-        return self.searcher.prepare(tokens)
-
-    def execute(
-        self,
-        tokens: Sequence[str],
-        prepared: PreparedQuery,
-        tau: float,
-        algorithm: str,
-    ) -> AlgorithmResult:
-        return self.searcher.search_prepared(prepared, tau, algorithm)
-
-    def batch_selector(self) -> Optional[BatchSelector]:
-        return BatchSelector(self.searcher.index)
-
-    def payload(self, set_id: int) -> Any:
-        return self.searcher.collection.payload(set_id)
-
-
-class _UpdatableBackend:
-    """Mutable backend over an :class:`UpdatableSearcher` (epoch stats)."""
-
-    def __init__(self, updatable: UpdatableSearcher) -> None:
-        self.updatable = updatable
-
-    def version(self) -> Tuple[Any, ...]:
-        return self.updatable.version
-
-    def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
-        # Used for validation and locality sorting only; execution goes
-        # through the updatable's own base+delta fan-out.
-        return PreparedQuery(tokens, self.updatable.stats_epoch)
-
-    def execute(
-        self,
-        tokens: Sequence[str],
-        prepared: PreparedQuery,
-        tau: float,
-        algorithm: str,
-    ) -> AlgorithmResult:
-        return self.updatable.search(list(tokens), tau, algorithm)
-
-    def batch_selector(self) -> Optional[BatchSelector]:
-        return None  # the delta index rules out a single shared scan
-
-    def payload(self, set_id: int) -> Any:
-        return self.updatable.payload(set_id)
-
-
-# ----------------------------------------------------------------------
 # the facade
 # ----------------------------------------------------------------------
 class SimilarityService:
-    """Concurrent selection serving over one index backend.
+    """Concurrent selection serving over one searcher.
 
-    Accepts either backend type::
+    Accepts a static or an updatable searcher::
 
         service = SimilarityService(searcher)            # static index
         service = SimilarityService(updatable_searcher)  # epoch updates
@@ -349,15 +275,17 @@ class SimilarityService:
         config: Optional[ServiceConfig] = None,
         tokenizer=None,
     ) -> None:
-        if isinstance(backend, SetSimilaritySearcher):
-            self._backend = _SearcherBackend(backend)
-        elif isinstance(backend, UpdatableSearcher):
-            self._backend = _UpdatableBackend(backend)
-        else:
+        if not isinstance(backend, SetSimilaritySearcher):
             raise ConfigurationError(
                 "backend must be a SetSimilaritySearcher or an "
                 f"UpdatableSearcher, got {type(backend).__name__}"
             )
+        self._searcher = backend
+        # Force the lazy corpus statistics and lengths now, so worker
+        # threads never race to initialize them mid-batch.
+        collection = backend.collection
+        if collection.frozen and len(collection):
+            collection.lengths()
         self.config = config or ServiceConfig()
         self.tokenizer = tokenizer
         self._results = (
@@ -426,13 +354,13 @@ class SimilarityService:
     def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
         """Prepared-query cache front: same semantics as the searcher's
         ``prepare`` (raises :class:`EmptyQueryError` on empty input)."""
-        version = self._backend.version()
+        version = self._searcher.version
         if self._prepared is None:
-            return self._backend.prepare(tokens)
+            return self._searcher.prepare(tokens)
         key = prepared_cache_key(tuple(tokens))
         prepared = self._prepared.get(key, version)
         if prepared is None:
-            prepared = self._backend.prepare(tokens)
+            prepared = self._searcher.prepare(tokens)
             self._prepared.put(key, version, prepared)
         return prepared
 
@@ -466,23 +394,15 @@ class SimilarityService:
             ),
         }
 
-    # -- resilient backend execution -----------------------------------
+    # -- resilient execution -------------------------------------------
     def _execute_raw(
-        self,
-        tokens: Sequence[str],
-        prepared: PreparedQuery,
-        tau: float,
-        algorithm: str,
+        self, prepared: PreparedQuery, tau: float, algorithm: str
     ) -> AlgorithmResult:
         faults_runtime.maybe_fire("service.execute")
-        return self._backend.execute(tokens, prepared, tau, algorithm)
+        return self._searcher.search_prepared(prepared, tau, algorithm)
 
     def _execute_resilient(
-        self,
-        tokens: Sequence[str],
-        prepared: PreparedQuery,
-        tau: float,
-        algorithm: str,
+        self, prepared: PreparedQuery, tau: float, algorithm: str
     ) -> AlgorithmResult:
         """One backend execution behind the breaker and retry policy.
 
@@ -496,7 +416,6 @@ class SimilarityService:
         try:
             result = call_with_retries(
                 self._execute_raw,
-                tokens,
                 prepared,
                 tau,
                 algorithm,
@@ -545,7 +464,7 @@ class SimilarityService:
             else self.config.deadline_seconds
         )
         started = time.perf_counter()
-        version = self._backend.version()
+        version = self._searcher.version
         key = result_cache_key(tuple(tokens), tau, algorithm)
         if self._results is not None:
             hit = self._results.get(key, version)
@@ -560,10 +479,10 @@ class SimilarityService:
         future = None
         if deadline is not None:
             future = self._pool().submit(
-                self._execute_resilient, tokens, prepared, tau, algorithm
+                self._execute_resilient, prepared, tau, algorithm
             )
         out = self._settle(
-            future, tokens, prepared, tau, algorithm, deadline, key, version
+            future, prepared, tau, algorithm, deadline, key, version
         )
         out.wall_seconds = time.perf_counter() - started
         self._observe_latency(out.wall_seconds)
@@ -588,7 +507,7 @@ class SimilarityService:
         )
 
     def payload(self, set_id: int) -> Any:
-        return self._backend.payload(set_id)
+        return self._searcher.collection.payload(set_id)
 
     def _count(
         self, queries: int = 0, degraded: int = 0, coalesced: int = 0,
@@ -636,7 +555,6 @@ class SimilarityService:
     def _settle(
         self,
         future: "Optional[Future[AlgorithmResult]]",
-        tokens: Sequence[str],
         prepared: PreparedQuery,
         tau: float,
         algorithm: str,
@@ -651,7 +569,7 @@ class SimilarityService:
         a degraded answer once per query it serves (``copies``)."""
         if future is None:
             out = ServiceResult(
-                self._execute_resilient(tokens, prepared, tau, algorithm),
+                self._execute_resilient(prepared, tau, algorithm),
                 tau,
                 algorithm,
             )
@@ -659,7 +577,7 @@ class SimilarityService:
             out = ServiceResult(future.result(), tau, algorithm)
         else:
             out = self._collect_with_deadline(
-                future, tokens, prepared, tau, algorithm, deadline
+                future, prepared, tau, algorithm, deadline
             )
         if (
             self._results is not None
@@ -674,7 +592,6 @@ class SimilarityService:
     def _collect_with_deadline(
         self,
         future: "Future[AlgorithmResult]",
-        tokens: Sequence[str],
         prepared: PreparedQuery,
         tau: float,
         algorithm: str,
@@ -697,7 +614,7 @@ class SimilarityService:
             self._count(deadline_misses=1)
         fallback_tau = self.config.degraded_tau(tau)
         fallback = self._execute_resilient(
-            tokens, prepared, fallback_tau, DEGRADED_ALGORITHM
+            prepared, fallback_tau, DEGRADED_ALGORITHM
         )
         if future.done() and future.exception() is None:
             # The primary finished while the fallback ran: prefer the
@@ -762,7 +679,7 @@ class SimilarityService:
             deadline if deadline is not None
             else self.config.deadline_seconds
         )
-        version = self._backend.version()
+        version = self._searcher.version
 
         prepared: List[Optional[PreparedQuery]] = []
         out: List[Optional[ServiceResult]] = []
@@ -781,7 +698,6 @@ class SimilarityService:
             strategy = (
                 "shared"
                 if deadline is None
-                and self._backend.batch_selector() is not None
                 and batch_overlap_factor(live) >= SHARED_SCAN_OVERLAP
                 else "threads"
             )
@@ -825,9 +741,9 @@ class SimilarityService:
         # 2. Locality sort: queries sharing their rarest (highest-idf)
         #    tokens run adjacently, so consecutive workers touch the
         #    same hot lists (and the same buffer-pool pages).
-        order = list(pending.items())
-        if self.config.locality_sort:
-            order.sort(key=lambda item: prepared[item[1][0]].tokens)
+        order = sorted(
+            pending.items(), key=lambda item: prepared[item[1][0]].tokens
+        )
 
         # 3. Dispatch one execution per distinct key.  Workers never
         #    submit nested pool work (the deadline fallback runs in the
@@ -839,7 +755,6 @@ class SimilarityService:
                 indices,
                 pool.submit(
                     self._execute_resilient,
-                    queries[indices[0]],
                     prepared[indices[0]],
                     tau,
                     algorithm,
@@ -855,7 +770,6 @@ class SimilarityService:
         for key, indices, future in futures:
             primary = self._settle(
                 future,
-                queries[indices[0]],
                 prepared[indices[0]],
                 tau,
                 algorithm,
@@ -892,12 +806,6 @@ class SimilarityService:
         are kept distinct to preserve the bit-identical replay guarantee
         of the per-query path.
         """
-        selector = self._backend.batch_selector()
-        if selector is None:
-            raise ConfigurationError(
-                "the shared batch strategy requires a static index "
-                "backend (UpdatableSearcher serves base + delta indexes)"
-            )
         miss_indices: List[int] = []
         for i, query in enumerate(prepared):
             if query is None:
@@ -911,8 +819,12 @@ class SimilarityService:
             miss_indices.append(i)
         if not miss_indices:
             return
-        results, _stats = selector.search_many(
-            [prepared[i] for i in miss_indices], tau
+        # One index snapshot for the whole scan; queries prepared under
+        # another epoch's statistics are re-prepared under its own.
+        index = self._searcher.index
+        stats = index.collection.stats
+        results, _stats = BatchSelector(index).search_many(
+            [prepared[i].under(stats) for i in miss_indices], tau
         )
         for i, result in zip(miss_indices, results):
             key = result_cache_key(tuple(queries[i]), tau, "batch")

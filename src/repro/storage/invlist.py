@@ -21,7 +21,9 @@ trusting CPython wall-clock (see the module docstring of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import bisect
+import copy
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..contracts import (
     CHECKS,
@@ -204,6 +206,8 @@ class InvertedIndex:
         Which auxiliary structures to materialize.  The benchmark harness
         builds all three once and lets individual algorithms opt out at
         query time; storage-ablation benchmarks build stripped variants.
+
+    ``num_sets`` is one past the highest set id the index covers.
     """
 
     def __init__(
@@ -220,10 +224,14 @@ class InvertedIndex:
         if not collection.frozen:
             raise IndexNotBuiltError("collection must be frozen before indexing")
         self.collection = collection
+        self.num_sets = len(collection)
         self.with_id_lists = with_id_lists
         self.with_skip_lists = with_skip_lists
         self.with_hash_index = with_hash_index
-        self._postings: Dict[str, TokenPostings] = {}
+        self.page_capacity = page_capacity
+        self.skiplist_max_bytes = skiplist_max_bytes
+        self.skiplist_stride = skiplist_stride
+        self.hash_bucket_capacity = hash_bucket_capacity
         lengths = collection.lengths()
 
         # Bucket postings per token, then sort each once.
@@ -232,37 +240,62 @@ class InvertedIndex:
             length = lengths[rec.set_id]
             for token in rec.tokens:
                 per_token.setdefault(token, []).append((length, rec.set_id))
-
-        verify = invariants_enabled()
+        self._postings: Dict[str, TokenPostings] = {}
         for token, entries in per_token.items():
             entries.sort()
-            if verify:
-                check_order_preservation(
-                    entries, source=f"weight-ordered list {token!r}"
-                )
-            weight_file = PagedFile(POSTING_BYTES, page_capacity)
-            weight_file.extend(entries)
-            id_file = None
-            if with_id_lists:
-                id_file = PagedFile(POSTING_BYTES, page_capacity)
-                id_file.extend(
-                    sorted((sid, ln) for ln, sid in entries)
-                )
-            skip = None
-            if with_skip_lists:
-                skip = SkipList(
-                    entries,
-                    max_bytes=skiplist_max_bytes,
-                    stride=skiplist_stride,
-                )
-            hash_index = None
-            if with_hash_index:
-                hash_index = ExtendibleHash(hash_bucket_capacity)
-                for ln, sid in entries:
-                    hash_index.insert(sid, ln)
-            self._postings[token] = TokenPostings(
-                token, weight_file, id_file, skip, hash_index
+            self._postings[token] = self._build_postings(token, entries)
+
+    def _build_postings(
+        self, token: str, entries: List[Tuple[float, int]]
+    ) -> TokenPostings:
+        """Every physical structure for one token from its sorted entries."""
+        if invariants_enabled():
+            check_order_preservation(
+                entries, source=f"weight-ordered list {token!r}"
             )
+        weight_file = PagedFile(POSTING_BYTES, self.page_capacity)
+        weight_file.extend(entries)
+        id_file = None
+        if self.with_id_lists:
+            id_file = PagedFile(POSTING_BYTES, self.page_capacity)
+            id_file.extend(sorted((sid, ln) for ln, sid in entries))
+        skip = None
+        if self.with_skip_lists:
+            skip = SkipList(
+                entries,
+                max_bytes=self.skiplist_max_bytes,
+                stride=self.skiplist_stride,
+            )
+        hash_index = None
+        if self.with_hash_index:
+            hash_index = ExtendibleHash(self.hash_bucket_capacity)
+            for ln, sid in entries:
+                hash_index.insert(sid, ln)
+        return TokenPostings(token, weight_file, id_file, skip, hash_index)
+
+    def with_set(
+        self, set_id: int, tokens: Iterable[str], length: float
+    ) -> "InvertedIndex":
+        """A new index that also holds set ``set_id`` at ``length``.
+
+        Only the lists of ``tokens`` are rebuilt, each exactly as a
+        from-scratch build over the same entries would build it; every
+        other list is shared with this index, which is left untouched
+        (readers holding it keep a consistent snapshot).  ``length`` must
+        come from the statistics this index was built with: then every
+        stored length is unchanged and the new posting lands where a full
+        build would put it (Property 1, Order Preservation).
+        """
+        clone = copy.copy(self)
+        clone._postings = dict(self._postings)
+        clone.num_sets = max(self.num_sets, set_id + 1)
+        posting = (length, set_id)
+        for token in tokens:
+            old = self._postings.get(token)
+            entries = list(old.weight_file.records()) if old else []
+            bisect.insort(entries, posting)
+            clone._postings[token] = self._build_postings(token, entries)
+        return clone
 
     # ------------------------------------------------------------------
     # access paths

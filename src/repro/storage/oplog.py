@@ -1,6 +1,6 @@
 """Append-only operations log — durable inserts for the updatable searcher.
 
-:class:`~repro.core.updatable.UpdatableSearcher` keeps every version in
+:class:`~repro.core.updatable.UpdatableSearcher` keeps every set in
 memory; a crash loses all inserts since construction.  This module adds
 the standard write-ahead fix:
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -199,14 +200,16 @@ class DurableUpdatableSearcher(UpdatableSearcher):
         """Durably insert one set: logged (fsynced) before it is applied,
         so a crash between the two replays the insert instead of losing
         it, and a failed append leaves memory unchanged."""
-        self.log.append(self._op(tokens, payload))
-        return super().add(tokens, payload)
+        with self._writer:  # one writer at a time: log order is id order
+            self.log.append(self._op(tokens, payload))
+            return super().add(tokens, payload)
 
     def compact(self) -> int:
         """Rewrite the log from live state; returns the record count."""
-        ops = [
-            self._op(toks, payload)
-            for toks, payload in zip(self._all_tokens, self._all_payloads)
-        ]
-        self.log.compact(ops)
+        with self._writer:
+            ops = [
+                self._op(Counter(rec.counts).elements(), rec.payload)
+                for rec in self.collection
+            ]
+            self.log.compact(ops)
         return len(ops)

@@ -287,6 +287,21 @@ class TestDurableUpdatableSearcher:
         s3 = DurableUpdatableSearcher(tmp_path)
         assert s3.replayed == 2 and s3.dropped == 0
 
+    def test_compact_replays_the_same_sets(self, tmp_path):
+        s = DurableUpdatableSearcher(
+            tmp_path, initial_sets=TOKEN_SETS[:3], auto_rebuild_fraction=1.0
+        )
+        s.add(["data", "data", "cleaning"], payload="dup")  # a multiset
+        s.add(TOKEN_SETS[3])
+        assert s.compact() == 5
+        s2 = DurableUpdatableSearcher(tmp_path)
+        assert s2.replayed == 5
+        assert [(r.counts, r.payload) for r in s2.collection] == [
+            (r.counts, r.payload) for r in s.collection
+        ]
+        s.rebuild()
+        assert _answers(s2) == _answers(s)
+
     def test_double_apply_guard(self, tmp_path):
         DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
         with pytest.raises(StorageError):

@@ -11,11 +11,13 @@ The contract under test, per ``docs/service.md``:
 """
 
 import json
+import random
 import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
@@ -237,15 +239,6 @@ class TestBatch:
         with pytest.raises(ConfigurationError):
             service.search_batch(self.BATCH, 0.3, strategy="bogus")
 
-    def test_locality_sort_does_not_change_answers(self, searcher):
-        config = ServiceConfig(locality_sort=False)
-        with SimilarityService(searcher, config=config) as unsorted:
-            with SimilarityService(searcher) as sorted_svc:
-                a = unsorted.search_batch(self.BATCH, 0.3)
-                b = sorted_svc.search_batch(self.BATCH, 0.3)
-        for x, y in zip(a, b):
-            assert ids_and_scores(x.results) == ids_and_scores(y.results)
-
 
 class TestBatchRandomized:
     def test_large_batch_matches_sequential(self):
@@ -267,26 +260,54 @@ class TestBatchRandomized:
                         [r.set_id for r in direct.results], strategy
 
 
+class TestUpdatableBatch:
+    def test_shared_and_auto_match_threads_with_pending_sets(self):
+        rng = random.Random(7)
+        vocab = [f"t{i}" for i in range(30)]
+        sets = [rng.sample(vocab, rng.randint(2, 6)) for _ in range(300)]
+        updatable = UpdatableSearcher(sets[:240], auto_rebuild_fraction=1.0)
+        for tokens in sets[240:]:
+            updatable.add(tokens)
+        assert updatable.pending == 60
+        queries = sets[200:260] * 2
+        with SimilarityService(
+            updatable, config=ServiceConfig(result_cache_size=0)
+        ) as service:
+            threads = service.search_batch(queries, 0.6, strategy="threads")
+            for strategy in ("shared", "auto"):
+                batch = service.search_batch(queries, 0.6, strategy=strategy)
+                for want, got in zip(threads, batch):
+                    assert {r.set_id for r in got.results} == \
+                        {r.set_id for r in want.results}, strategy
+        assert any(
+            r.set_id >= 240 for slot in threads for r in slot.results
+        )
+
+
 class TestDeadline:
     @staticmethod
+    @contextmanager
     def _slow_service(searcher, primary_sleep, fallback_sleep=0.0):
-        """A service whose primary algorithm is artificially slow."""
-        service = SimilarityService(
-            searcher, config=ServiceConfig(algorithm="nra")
-        )
-        backend = service._backend
-        original = backend.execute
+        """A service whose primary algorithm is artificially slow; the
+        searcher is restored once the service has closed."""
+        original = searcher.search_prepared
 
-        def slow_execute(tokens, prepared, tau, algorithm):
+        def slow_search_prepared(prepared, tau, algorithm):
             time.sleep(
                 fallback_sleep
                 if algorithm == DEGRADED_ALGORITHM
                 else primary_sleep
             )
-            return original(tokens, prepared, tau, algorithm)
+            return original(prepared, tau, algorithm)
 
-        backend.execute = slow_execute
-        return service
+        searcher.search_prepared = slow_search_prepared
+        try:
+            with SimilarityService(
+                searcher, config=ServiceConfig(algorithm="nra")
+            ) as service:
+                yield service
+        finally:
+            del searcher.search_prepared
 
     def test_deadline_miss_degrades_and_flags(self, searcher):
         with self._slow_service(searcher, primary_sleep=1.5) as service:

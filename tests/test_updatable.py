@@ -1,12 +1,21 @@
 """Tests for the updatable (epoch-based) searcher."""
 
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SetCollection, SetSimilaritySearcher
 from repro.core.errors import ConfigurationError
-from repro.core.updatable import UpdatableSearcher
+from repro.core.properties import effective_threshold
+from repro.core.similarity import idf_similarity
+from repro.core.updatable import UpdatableSearcher, _EpochCollection
+from repro.core.weights import IdfStatistics
+from repro.storage.invlist import InvertedIndex
+from repro.storage.pages import IOStats
 
 
 def answers(results):
@@ -138,3 +147,188 @@ class TestInterleaved:
                     if frozenset(s) == frozenset(q)
                 }
                 assert expect <= got
+
+
+class TestPreparedAcrossEpochs:
+    def test_prepared_query_survives_rebuild(self):
+        u = UpdatableSearcher(
+            [["a", "b"], ["a", "c"], ["b", "c"]], auto_rebuild_fraction=1.0
+        )
+        query = u.prepare(["a", "b"])
+        for tokens in (["a"], ["a", "d"], ["a", "b", "d"], ["a", "e"]):
+            u.add(tokens)  # "a" grows common: its idf shifts on rebuild
+        u.rebuild()
+        assert query.stats is not u.stats_epoch
+        for tau in (0.3, 0.6, 0.9):
+            old = u.search_prepared(query, tau)
+            fresh = u.search(["a", "b"], tau)
+            assert [(r.set_id, r.score) for r in old.results] == [
+                (r.set_id, r.score) for r in fresh.results
+            ]
+
+
+# ----------------------------------------------------------------------
+# copy-on-write inserts
+# ----------------------------------------------------------------------
+VOCAB = ["a", "b", "c", "d", "e"]
+_sets = st.lists(st.sampled_from(VOCAB), max_size=4)
+
+
+def _layout(index: InvertedIndex, num_ids: int):
+    """Every list's records, skip-list landings and hash probes."""
+    out = {}
+    for token in sorted(index.tokens()):
+        postings = index._postings[token]
+        records = list(postings.weight_file.records())
+        keys = [(0.0, -1)] + [(ln, -1) for ln, _ in records] + [
+            (ln, sid + 1) for ln, sid in records
+        ] + [(float("inf"), -1)]
+        seeks = probes = None
+        if postings.skip is not None:
+            seeks = []
+            for key in keys:
+                stats = IOStats()
+                seeks.append((postings.skip.seek_ge(key, stats),
+                               stats.snapshot()))
+        if postings.hash is not None:
+            probes = []
+            for sid in range(num_ids + 1):
+                stats = IOStats()
+                probes.append((index.probe(token, sid, stats),
+                               stats.snapshot()))
+        out[token] = (
+            records,
+            list(postings.id_file.records())
+            if postings.id_file is not None else None,
+            seeks,
+            probes,
+        )
+    return out
+
+
+class TestCopyOnWriteInsert:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        initial=st.lists(_sets, max_size=8),
+        inserts=st.lists(_sets, min_size=1, max_size=8),
+        page_capacity=st.integers(1, 6),
+        skiplist_stride=st.integers(1, 5),
+        hash_bucket_capacity=st.integers(1, 4),
+        with_id_lists=st.booleans(),
+        with_skip_lists=st.booleans(),
+        with_hash_index=st.booleans(),
+    )
+    def test_with_set_matches_scratch_build(self, initial, inserts, **options):
+        collection = _EpochCollection(
+            0, SetCollection.from_token_sets(initial)
+        )
+        before = InvertedIndex(collection, **options)
+        before_layout = _layout(before, len(initial) + len(inserts))
+
+        index = before
+        for tokens in inserts:
+            set_id = collection.add(tokens)
+            index = index.with_set(
+                set_id, collection[set_id].tokens, collection.length(set_id)
+            )
+
+        scratch = InvertedIndex(collection, **options)
+        num_ids = len(collection)
+        assert index.num_sets == scratch.num_sets == num_ids
+        assert _layout(index, num_ids) == _layout(scratch, num_ids)
+        assert _layout(before, num_ids) == before_layout
+
+
+# ----------------------------------------------------------------------
+# snapshots under concurrent inserts and rebuilds
+# ----------------------------------------------------------------------
+def _brute(sets, query, tau, stats):
+    cutoff = effective_threshold(tau)
+    scores = {
+        i: idf_similarity(query, s, stats) for i, s in enumerate(sets)
+    }
+    return {i: v for i, v in scores.items() if v >= cutoff}
+
+
+def _matches(answer, expected):
+    got = {r.set_id: r.score for r in answer.results}
+    return got.keys() == expected.keys() and all(
+        abs(got[i] - expected[i]) <= 1e-9 for i in got
+    )
+
+
+class TestSnapshotAcrossThreads:
+    INITIAL = 30
+    REBUILD_EVERY = 5
+    TAU = 0.6
+
+    def test_every_answer_is_one_snapshot(self):
+        rng = random.Random(2008)
+        vocab = [f"v{i}" for i in range(12)]
+        sets = [rng.sample(vocab, rng.randint(1, 4)) for _ in range(90)]
+        u = UpdatableSearcher(
+            sets[: self.INITIAL], auto_rebuild_fraction=1.0
+        )
+        queries = [rng.choice(sets) for _ in range(40)]
+        done = threading.Event()
+        seen = []
+        errors = []
+
+        def writer():
+            try:
+                for i, tokens in enumerate(sets[self.INITIAL:], 1):
+                    u.add(tokens)
+                    if i % self.REBUILD_EVERY == 0:
+                        u.rebuild()
+            finally:
+                done.set()
+
+        def reader(seed):
+            r = random.Random(seed)
+            try:
+                while not done.is_set():
+                    q = r.choice(queries)
+                    before = (len(u), u.epoch)
+                    answer = u.search(q, self.TAU)
+                    after = (len(u), u.epoch)
+                    seen.append((q, before, after, answer))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer)] + [
+                threading.Thread(target=reader, args=(seed,))
+                for seed in range(3)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(u) == len(sets)
+        assert seen
+
+        def epoch_stats(epoch):
+            size = self.INITIAL + self.REBUILD_EVERY * epoch
+            return IdfStatistics.from_sets(sets[:size])
+
+        stats = {}
+        for q, (lo, e0), (hi, e1), answer in seen:
+            ok = any(
+                _matches(
+                    answer,
+                    _brute(
+                        sets[:k], q, self.TAU,
+                        stats.setdefault(e, epoch_stats(e)),
+                    ),
+                )
+                for k in range(lo, hi + 1)
+                for e in range(e0, e1 + 1)
+            )
+            assert ok, (q, lo, hi, e0, e1)
