@@ -195,9 +195,6 @@ class QueryLists:
             return 0.0
         return self.idf_squared[list_index] / denom
 
-    def total_idf_squared(self) -> float:
-        return sum(self.idf_squared)
-
 
 class SelectionAlgorithm:
     """Base class: configuration knobs + the timed ``search`` entry point.

@@ -17,9 +17,9 @@ Three organizations, matching the paper:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
-__all__ = ["Candidate", "HashCandidateSet", "PartitionedCandidateSet"]
+__all__ = ["Candidate", "CandidateSet", "HashCandidateSet", "PartitionedCandidateSet"]
 
 
 class Candidate:
@@ -82,7 +82,8 @@ class HashCandidateSet:
     def get(self, set_id: int) -> Optional[Candidate]:
         return self._by_id.get(set_id)
 
-    def add(self, candidate: Candidate) -> Candidate:
+    def add(self, candidate: Candidate, discovered_in: int = 0) -> Candidate:
+        """Insert; ``discovered_in`` is ignored (there are no partitions)."""
         self._by_id[candidate.set_id] = candidate
         if len(self._by_id) > self.peak:
             self.peak = len(self._by_id)
@@ -187,3 +188,6 @@ class PartitionedCandidateSet:
 
     def scan(self) -> List[Candidate]:
         return list(self._by_id.values())
+
+
+CandidateSet = Union[HashCandidateSet, PartitionedCandidateSet]

@@ -11,8 +11,11 @@ popped from list ``i`` is useful only if
   the currently open lists).
 
 Both cutoffs shrink as the search progresses — candidates get pruned and
-lists complete — so Hybrid never descends deeper than SF in any list while
-also never reading more elements than iNRA (Lemma 4).
+lists complete.  Λ is the sound round-robin analogue of SF's static
+per-list λ_i, not λ_i itself, so Lemma 4 holds in this form: Hybrid never
+reads more elements than iNRA, and matches SF up to round-robin
+quantization only on SF-friendly (skewed) instances — elsewhere it can read
+more than SF.
 
 The price is bookkeeping: ``max_len(C)`` must be current at every list stop
 decision.  Section VII's special organization makes that cheap and is
@@ -22,131 +25,65 @@ length-sorted candidate list per inverted list (append-only by construction)
 plus a hash table; ``max_len(C)`` is the max over the partition tails
 (O(#lists)) and provably-dead candidates are dropped from the partition
 backs, where the length-monotone best-case bound is weakest.
+
+Hybrid is :class:`~repro.algorithms.inra.INRA` with full candidate scans
+and three hooks overridden: the candidate set, the depth cutoff and the
+per-round back pruning.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, Optional
 
 from ..storage.invlist import InvertedIndex
-from .base import (
-    QueryLists,
-    SearchResult,
-    SelectionAlgorithm,
-    register_algorithm,
-)
-from .candidates import Candidate, PartitionedCandidateSet
-from .kernel import admission_bound, frontier_threshold, prune_scan
+from .base import QueryLists, register_algorithm
+from .candidates import PartitionedCandidateSet
+from .inra import INRA
+from .kernel import RoundRobin
 
 
 @register_algorithm
-class Hybrid(SelectionAlgorithm):
+class Hybrid(INRA):
     """iNRA's breadth + SF's per-list depth cutoffs + partitioned
-    candidates (Section VII; element-access optimality per Lemma 4)."""
+    candidates (Section VII; never more element reads than iNRA, Lemma 4)."""
 
     name = "hybrid"
 
-    def __init__(
-        self,
-        index: InvertedIndex,
-        lazy_scans: bool = False,
-        **kwargs,
+    def __init__(self, index: InvertedIndex, **kwargs) -> None:
+        # Full scans: Hybrid deliberately pays extra bookkeeping for
+        # maximal pruning (the paper's characterization in Section VIII-D).
+        super().__init__(index, lazy_scans=False, **kwargs)
+
+    def _candidate_set(self, num_lists: int) -> PartitionedCandidateSet:
+        return PartitionedCandidateSet(num_lists)
+
+    def _depth_cutoff(
+        self, rr: RoundRobin, candidates: PartitionedCandidateSet, tau: float
+    ) -> Optional[Callable[[float], bool]]:
+        scale = tau * rr.lists.query.length
+        if scale <= 0.0:
+            return None
+
+        def past_depth(head: float) -> bool:
+            # SF's stop condition, head > min(hi, max(max_len(C), Λ)),
+            # applied per list in round-robin; RoundRobin tests hi.  Λ is
+            # the max length of a still-admissible new candidate, assuming
+            # it appears in every open list.  The O(lists) max_len(C) is
+            # asked only past Λ.
+            return (
+                head > rr.open_idf_squared / scale
+                and head > candidates.max_length()
+            )
+
+        return past_depth
+
+    def _prune_round(
+        self, lists: QueryLists, tau: float, candidates: PartitionedCandidateSet
     ) -> None:
-        # Full scans by default: Hybrid deliberately pays extra bookkeeping
-        # for maximal pruning (the paper's characterization in Section VIII-D).
-        super().__init__(index, **kwargs)
-        self.lazy_scans = lazy_scans
-
-    def _run(self, lists: QueryLists, tau: float) -> Tuple[List[SearchResult], int]:
-        n = len(lists)
-        if n == 0:
-            return [], 0
-        lo, hi = self._bounds(lists, tau)
-        query_len = lists.query.length
-        candidates = PartitionedCandidateSet(n)
-        results: List[SearchResult] = []
-        total_idf_sq = lists.total_idf_squared()
-
-        cursors = lists.cursors
-        if self.use_length_bounds:
-            for cursor in cursors:
-                cursor.seek_length_ge(lo)
-
-        complete = [False] * n
-        frontier_key: List[Optional[Tuple[float, int]]] = [None] * n
-        frontier_contrib = [0.0] * n
-        open_idf_sq = sum(lists.idf_squared)
-        for i, cursor in enumerate(cursors):
-            if cursor.exhausted():
-                complete[i] = True
-                open_idf_sq -= lists.idf_squared[i]
-        f_threshold = float("inf")
-
-        def lambda_cutoff() -> float:
-            """Dynamic Λ: max length of a still-admissible new candidate,
-            assuming it appears in every open list."""
-            if tau * query_len <= 0.0:
-                return float("inf")
-            return open_idf_sq / (tau * query_len)
-
-        while True:
-            for i, cursor in enumerate(cursors):
-                if complete[i]:
-                    continue
-                if cursor.exhausted() or (
-                    (head := cursor.peek()[0]) > hi
-                    or (head > lambda_cutoff() and head > candidates.max_length())
-                ):
-                    # SF's stop condition, head > min(hi, max(max_len(C), Λ)),
-                    # applied per list in round-robin: nothing unread in this
-                    # list can matter.  Stop without consuming the posting.
-                    # The O(lists) max_len(C) is asked only past Λ.
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
-                    open_idf_sq -= lists.idf_squared[i]
-                    continue
-                length, set_id = cursor.next()
-                frontier_key[i] = (length, set_id)
-                contribution = lists.contribution(i, length)
-                frontier_contrib[i] = contribution
-                cand = candidates.get(set_id)
-                if cand is None:
-                    if f_threshold < tau:
-                        continue
-                    if admission_bound(
-                        lists, i, length, set_id, complete, frontier_key
-                    ) < tau:
-                        continue
-                    cand = Candidate(set_id, length)
-                    candidates.add(cand, discovered_in=i)
-                cand.see(i, contribution)
-                if cursor.exhausted():
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
-                    open_idf_sq -= lists.idf_squared[i]
-
-            f_threshold = frontier_threshold(frontier_contrib, complete)
-
-            if all(complete):
-                for cand in candidates.scan():
-                    if cand.lower >= tau:
-                        results.append(SearchResult(cand.set_id, cand.lower))
-                break
-
-            # Cheap per-round pruning from the partition backs using the
-            # length-monotone best-case bound (valid whatever the candidate
-            # has or hasn't been seen in).
-            if tau * query_len > 0.0:
-                dead_above = total_idf_sq / (tau * query_len)
-                candidates.prune_back(lambda c: c.length > dead_above)
-
-            if not self.lazy_scans or f_threshold < tau:
-                for cand in prune_scan(
-                    lists, tau, candidates, complete, frontier_key
-                ):
-                    if cand.lower >= tau:
-                        results.append(SearchResult(cand.set_id, cand.lower))
-                if len(candidates) == 0 and f_threshold < tau:
-                    break
-
-        return results, candidates.peak
+        # Cheap pruning from the partition backs using the length-monotone
+        # best-case bound (valid whatever the candidate has or hasn't been
+        # seen in).
+        scale = tau * lists.query.length
+        if scale > 0.0:
+            dead_above = sum(lists.idf_squared) / scale
+            candidates.prune_back(lambda c: c.length > dead_above)

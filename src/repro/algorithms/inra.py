@@ -18,15 +18,19 @@ Breadth-first (round-robin) like NRA, plus every Section IV property:
   ``F < tau`` (it cannot be emptied before that), and a pruning scan stops
   at the first still-viable candidate (``lazy_scans=True``, the default).
 
+The round-robin read and the per-list frontier state are the kernel's
+:class:`~repro.algorithms.kernel.RoundRobin`; the body here is the
+per-posting admission and the per-round resolve/prune pass.  Hybrid
+(Section VII) is this class with full scans and three hooks overridden.
+
 Correctness matches NRA's: upper bounds only ever shrink for valid reasons,
 and the search ends when the candidate set empties or every list completes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
-from ..contracts import invariants_enabled
 from ..storage.invlist import InvertedIndex
 from .base import (
     QueryLists,
@@ -34,13 +38,8 @@ from .base import (
     SelectionAlgorithm,
     register_algorithm,
 )
-from .candidates import Candidate, HashCandidateSet
-from .kernel import (
-    admission_bound,
-    check_frontier_monotone,
-    frontier_threshold,
-    prune_scan,
-)
+from .candidates import Candidate, CandidateSet, HashCandidateSet
+from .kernel import RoundRobin, admission_bound, prune_scan
 
 
 @register_algorithm
@@ -61,53 +60,18 @@ class INRA(SelectionAlgorithm):
 
     # ------------------------------------------------------------------
     def _run(self, lists: QueryLists, tau: float) -> Tuple[List[SearchResult], int]:
-        n = len(lists)
-        if n == 0:
+        if len(lists) == 0:
             return [], 0
         lo, hi = self._bounds(lists, tau)
-        candidates = HashCandidateSet()
+        rr = RoundRobin(lists, lo if self.use_length_bounds else None)
+        complete, frontier_key = rr.complete, rr.frontier_key
+        candidates = self._candidate_set(len(lists))
+        past_depth = self._depth_cutoff(rr, candidates, tau)
         results: List[SearchResult] = []
-
-        cursors = lists.cursors
-        if self.use_length_bounds:
-            for cursor in cursors:
-                cursor.seek_length_ge(lo)
-
-        complete = [False] * n
-        # (length, id) key of the last element popped per list; None before
-        # the first pop.  Used for order-preservation absence deduction.
-        frontier_key: List[Optional[Tuple[float, int]]] = [None] * n
-        frontier_contrib: List[float] = [0.0] * n
-        for i, cursor in enumerate(cursors):
-            if cursor.exhausted():
-                complete[i] = True
-            else:
-                frontier_contrib[i] = lists.contribution(i, cursor.peek()[0])
         f_threshold = float("inf")
-        verify = invariants_enabled()
 
         while True:
-            for i, cursor in enumerate(cursors):
-                if complete[i]:
-                    continue
-                if cursor.exhausted():
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
-                    continue
-                if cursor.peek()[0] > hi:
-                    # Theorem 1: nothing at or beyond this length can answer;
-                    # stop without consuming the out-of-window posting.
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
-                    continue
-                length, set_id = cursor.next()
-                if verify and frontier_key[i] is not None:
-                    check_frontier_monotone(
-                        lists, i, length, frontier_contrib[i]
-                    )
-                frontier_key[i] = (length, set_id)
-                contribution = lists.contribution(i, length)
-                frontier_contrib[i] = contribution
+            for i, length, set_id, contribution in rr.round(hi, past_depth):
                 cand = candidates.get(set_id)
                 if cand is None:
                     if f_threshold < tau:
@@ -116,33 +80,41 @@ class INRA(SelectionAlgorithm):
                         lists, i, length, set_id, complete, frontier_key
                     ) < tau:
                         continue  # magnitude boundedness: never viable
-                    cand = candidates.add(Candidate(set_id, length))
+                    cand = candidates.add(Candidate(set_id, length), i)
                 cand.see(i, contribution)
-                if cursor.exhausted():
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
 
-            f_threshold = frontier_threshold(frontier_contrib, complete)
-
-            if all(complete):
+            f_threshold = rr.threshold()
+            done = rr.done()
+            if done:
                 # Every membership is resolved: lower bounds are exact.
-                for cand in candidates.scan():
-                    if cand.lower >= tau:
-                        results.append(SearchResult(cand.set_id, cand.lower))
-                candidates.clear()
-                break
-
-            if self.lazy_scans and f_threshold >= tau:
-                # The candidate set cannot empty while F >= tau: skip the scan.
-                continue
-
-            for cand in prune_scan(
-                lists, tau, candidates, complete, frontier_key,
-                stop_at_viable=self.lazy_scans,
-            ):
+                resolved = candidates.scan()
+            else:
+                self._prune_round(lists, tau, candidates)
+                if self.lazy_scans and f_threshold >= tau:
+                    continue  # the candidate set cannot empty while F >= tau
+                resolved = prune_scan(
+                    lists, tau, candidates, complete, frontier_key,
+                    stop_at_viable=self.lazy_scans,
+                )
+            for cand in resolved:
                 if cand.lower >= tau:
                     results.append(SearchResult(cand.set_id, cand.lower))
-            if len(candidates) == 0 and f_threshold < tau:
+            if done or (len(candidates) == 0 and f_threshold < tau):
                 break
 
         return results, candidates.peak
+
+    # Hooks Hybrid overrides (Section VII) -------------------------------
+    def _candidate_set(self, num_lists: int) -> CandidateSet:
+        return HashCandidateSet()
+
+    def _depth_cutoff(
+        self, rr: RoundRobin, candidates: CandidateSet, tau: float
+    ) -> Optional[Callable[[float], bool]]:
+        """An extra stop test on a list's head length; iNRA has none."""
+        return None
+
+    def _prune_round(
+        self, lists: QueryLists, tau: float, candidates: CandidateSet
+    ) -> None:
+        """Pruning before each round's candidate scan; iNRA has none."""

@@ -20,16 +20,15 @@ lists drops below ``tau``.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Set, Tuple
+from typing import Generator, List, Set
 
-from ..contracts import invariants_enabled
 from .base import (
     QueryLists,
     SearchResult,
     StreamingAlgorithm,
     register_algorithm,
 )
-from .kernel import admission_bound, check_frontier_monotone, frontier_threshold
+from .kernel import RoundRobin, admission_bound
 
 
 @register_algorithm
@@ -43,45 +42,14 @@ class ITA(StreamingAlgorithm):
     def _stream(
         self, lists: QueryLists, tau: float
     ) -> Generator[SearchResult, None, int]:
-        n = len(lists)
         seen: Set[int] = set()
-        if n == 0:
+        if len(lists) == 0:
             return 0
         lo, hi = self._bounds(lists, tau)
-        cursors = lists.cursors
-
-        if self.use_length_bounds:
-            for cursor in cursors:
-                cursor.seek_length_ge(lo)
-
-        complete = [False] * n
-        frontier_key: List[Optional[Tuple[float, int]]] = [None] * n
-        frontier_contrib = [0.0] * n
-        verify = invariants_enabled()
-        for i, cursor in enumerate(cursors):
-            if cursor.exhausted():
-                complete[i] = True
+        rr = RoundRobin(lists, lo if self.use_length_bounds else None)
 
         while True:
-            for i, cursor in enumerate(cursors):
-                if complete[i]:
-                    continue
-                if cursor.exhausted() or cursor.peek()[0] > hi:
-                    # Exhausted, or past the Theorem 1 window: stop
-                    # without consuming.
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
-                    continue
-                length, set_id = cursor.next()
-                if verify and frontier_key[i] is not None:
-                    check_frontier_monotone(
-                        lists, i, length, frontier_contrib[i]
-                    )
-                frontier_key[i] = (length, set_id)
-                frontier_contrib[i] = lists.contribution(i, length)
-                if cursor.exhausted():
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
+            for i, length, set_id, contribution in rr.round(hi):
                 if set_id in seen:
                     continue
                 seen.add(set_id)
@@ -89,10 +57,11 @@ class ITA(StreamingAlgorithm):
                 # is a known absence and is never probed.
                 plausible: List[int] = []
                 if admission_bound(
-                    lists, i, length, set_id, complete, frontier_key, plausible
+                    lists, i, length, set_id, rr.complete, rr.frontier_key,
+                    plausible,
                 ) < tau:
                     continue  # provably hopeless: skip all probes
-                score = lists.contribution(i, length)
+                score = contribution
                 for j in plausible:
                     found = self.index.probe(
                         lists.tokens[j], set_id, lists.stats
@@ -102,8 +71,6 @@ class ITA(StreamingAlgorithm):
                 if score >= tau:
                     yield SearchResult(set_id, score)
 
-            if all(complete):
-                break
-            if frontier_threshold(frontier_contrib, complete) < tau:
+            if rr.done() or rr.threshold() < tau:
                 break
         return len(seen)

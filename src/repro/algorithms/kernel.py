@@ -1,29 +1,31 @@
-"""The Section IV bounds kernel shared by the round-robin algorithms.
+"""The Section IV bounds kernel and the round-robin read loop.
 
-iNRA, Hybrid, iTA and top-k keep the same per-list state while they read
-lists round-robin: ``complete[i]`` (list ``i`` can yield nothing more) and
-``frontier_key[i]`` (the ``(len, id)`` key of the last posting popped from
-list ``i``, ``None`` before the first).  Order Preservation (Property 1)
-turns that state into "list ``i`` cannot contain set ``s``" — the list is
-complete, or its frontier has passed ``(len(s), id(s))`` — and
-:mod:`repro.core.properties` turns the lists that remain into bounds.
-The pieces the algorithms share live here, once:
+iNRA, Hybrid, iTA and top-k read lists round-robin with the same per-list
+state, which :class:`RoundRobin` owns: ``complete[i]`` (list ``i`` can
+yield nothing more) and ``frontier_key[i]`` (the ``(len, id)`` key of the
+last posting popped from list ``i``, ``None`` before the first).  Order
+Preservation (Property 1) turns that state into "list ``i`` cannot contain
+set ``s``" — the list is complete, or its frontier has passed
+``(len(s), id(s))`` — and :mod:`repro.core.properties` turns the lists that
+remain into bounds.  The pieces the algorithms share live here, once:
 
+* :class:`RoundRobin` — one posting per open list per round, the frontier
+  state, the list-closing rules and ``F``, the best score of a still-unseen
+  set;
 * :func:`admission_bound` — the Property 2 best case of a newly popped set;
 * :func:`prune_scan` — one resolve/prune pass over the candidate set;
-* :func:`frontier_threshold` — ``F``, the best score of a still-unseen set;
 * :func:`check_frontier_monotone` — the Magnitude Boundedness contract at a
   list's frontier (called only under ``REPRO_CHECK_INVARIANTS=1``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from ..contracts import ContractViolation
+from ..contracts import ContractViolation, invariants_enabled
 from ..core.properties import best_case_score, magnitude_upper_bound
 from .base import QueryLists
-from .candidates import Candidate, HashCandidateSet, PartitionedCandidateSet
+from .candidates import Candidate, CandidateSet
 
 FrontierKeys = Sequence[Optional[Tuple[float, int]]]
 
@@ -63,7 +65,7 @@ def admission_bound(
 def prune_scan(
     lists: QueryLists,
     tau: float,
-    candidates: Union[HashCandidateSet, PartitionedCandidateSet],
+    candidates: CandidateSet,
     complete: Sequence[bool],
     frontier_key: FrontierKeys,
     stop_at_viable: bool = False,
@@ -108,15 +110,6 @@ def prune_scan(
     return resolved
 
 
-def frontier_threshold(
-    frontier_contrib: Sequence[float], complete: Sequence[bool]
-) -> float:
-    """``F = Σ_i w_i(f_i)`` over the lists still open: the best score a
-    set not yet seen in any list can reach.  Once ``F < tau`` no new
-    candidate can qualify."""
-    return sum(c for c, done in zip(frontier_contrib, complete) if not done)
-
-
 def check_frontier_monotone(
     lists: QueryLists, list_index: int, length: float, previous: float
 ) -> None:
@@ -131,3 +124,89 @@ def check_frontier_monotone(
             f"rose from {previous!r} to {contribution!r}; per-token "
             "contributions must be non-increasing",
         )
+
+
+class RoundRobin:
+    """Algorithm 2's round-robin read and its per-list state.
+
+    ``complete``, ``frontier_key`` and ``frontier_contrib`` (``w_i(f_i)``,
+    0 once list ``i`` completes) align with ``lists.cursors``;
+    ``open_idf_squared`` sums idf² over the open lists.  Callers change
+    the state only through :meth:`close`.  With ``lo``, every list is
+    entered at its first posting with ``len >= lo`` (Length Boundedness).
+    """
+
+    __slots__ = ("lists", "complete", "frontier_key", "frontier_contrib",
+                 "open_idf_squared", "_verify")
+
+    def __init__(self, lists: QueryLists, lo: Optional[float] = None) -> None:
+        cursors = lists.cursors
+        if lo is not None:
+            for cursor in cursors:
+                cursor.seek_length_ge(lo)
+        self.lists = lists
+        self.complete = [cursor.exhausted() for cursor in cursors]
+        self.frontier_key: List[Optional[Tuple[float, int]]] = [None] * len(lists)
+        self.frontier_contrib = [0.0] * len(lists)
+        self.open_idf_squared = sum(lists.idf_squared)
+        for idf_squared, done in zip(lists.idf_squared, self.complete):
+            if done:
+                self.open_idf_squared -= idf_squared
+        self._verify = invariants_enabled()
+
+    def round(
+        self, hi: float, past_depth: Optional[Callable[[float], bool]] = None
+    ) -> Iterator[Tuple[int, float, int, float]]:
+        """Pop the head of every open list, in list order, yielding
+        ``(i, length, set_id, contribution)`` with the frontier advanced.
+
+        A list closes without consuming its head when the head is past
+        ``hi`` (Theorem 1) or ``past_depth(head)`` holds, and right after
+        its last posting is popped, whatever the caller does with it.
+        """
+        lists = self.lists
+        complete = self.complete
+        frontier_key = self.frontier_key
+        frontier_contrib = self.frontier_contrib
+        verify = self._verify
+        for i, cursor in enumerate(lists.cursors):
+            if complete[i]:
+                continue
+            if cursor.exhausted() or (
+                (head := cursor.peek()[0]) > hi
+                or (past_depth is not None and past_depth(head))
+            ):
+                self.close(i)
+                continue
+            length, set_id = cursor.next()
+            contribution = lists.contribution(i, length)
+            if verify and frontier_key[i] is not None:
+                check_frontier_monotone(lists, i, length, frontier_contrib[i])
+            frontier_key[i] = (length, set_id)
+            frontier_contrib[i] = contribution
+            if cursor.exhausted():
+                self.close(i)
+            yield i, length, set_id, contribution
+
+    def close(self, i: int) -> None:
+        """Mark list ``i`` complete: it can yield no further answer."""
+        if not self.complete[i]:
+            self.complete[i] = True
+            self.frontier_contrib[i] = 0.0
+            self.open_idf_squared -= self.lists.idf_squared[i]
+
+    def seek(self, lo: float) -> None:
+        """Advance every open list to its first posting with ``len >= lo``;
+        a list this exhausts closes at its turn in the next round."""
+        for cursor, done in zip(self.lists.cursors, self.complete):
+            if not done:
+                cursor.seek_length_ge(lo)
+
+    def threshold(self) -> float:
+        """``F = Σ_i w_i(f_i)`` over the open lists (a closed list holds 0):
+        the best score a set not yet seen in any list can reach.  Once
+        ``F < tau`` no new candidate can qualify."""
+        return sum(self.frontier_contrib)
+
+    def done(self) -> bool:
+        return all(self.complete)

@@ -3,7 +3,7 @@
 Section X names top-k processing as future work; this module provides it on
 top of the same machinery.  The algorithm is iNRA's filter run against a
 threshold that is not fixed but *discovered*: ``θ``, the k-th best lower
-bound found so far.  It shares iNRA's bounds kernel
+bound found so far.  It shares iNRA's bounds kernel and round-robin loop
 (:mod:`repro.algorithms.kernel`) and keeps only its own rising-θ loop.  All
 three Section IV properties apply with ``tau = θ`` and strengthen as θ grows:
 
@@ -23,7 +23,7 @@ set id), each with its exact score.
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..core.errors import ConfigurationError
 from ..core.query import PreparedQuery
@@ -31,7 +31,7 @@ from ..storage.invlist import InvertedIndex
 from ..storage.pages import IOStats
 from .base import QueryLists, SearchResult
 from .candidates import Candidate, HashCandidateSet
-from .kernel import admission_bound, frontier_threshold, prune_scan
+from .kernel import RoundRobin, admission_bound, prune_scan
 
 
 class TopKResult:
@@ -67,21 +67,12 @@ class TopKSearcher:
         lists = QueryLists(
             self.index, query, stats, use_skip_lists=self.use_skip_lists
         )
-        n = len(lists)
-        if n == 0:
+        if len(lists) == 0:
             return TopKResult([], stats, 0)
         query_len = query.length
         candidates = HashCandidateSet()
         finalists: List[Candidate] = []  # resolved, exact scores
-
-        cursors = lists.cursors
-        complete = [False] * n
-        frontier_key: List[Optional[Tuple[float, int]]] = [None] * n
-        frontier_contrib = [0.0] * n
-        for i, cursor in enumerate(cursors):
-            if cursor.exhausted():
-                complete[i] = True
-
+        rr = RoundRobin(lists)
         theta = 0.0
 
         def current_theta() -> float:
@@ -92,47 +83,31 @@ class TopKSearcher:
                 return 0.0
             return heapq.nlargest(k, lowers)[-1]
 
-        while not all(complete):
-            hi = query_len / theta if theta > 0.0 else float("inf")
-            lo = theta * query_len
-            for i, cursor in enumerate(cursors):
-                if complete[i]:
-                    continue
+        while not rr.done():
+            hi = float("inf")
+            if theta > 0.0:
                 # Dynamic Theorem 1 window: skip forward as θ rises.
-                if theta > 0.0 and not cursor.exhausted():
-                    if cursor.peek()[0] < lo:
-                        cursor.seek_length_ge(lo)
-                if cursor.exhausted():
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
-                    continue
-                length, set_id = cursor.next()
-                frontier_key[i] = (length, set_id)
-                frontier_contrib[i] = lists.contribution(i, length)
+                rr.seek(theta * query_len)
+                hi = query_len / theta
+            for i, length, set_id, contribution in rr.round(float("inf")):
                 if length > hi:
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
+                    rr.close(i)  # the read past len(q)/θ ends the list
                     continue
                 cand = candidates.get(set_id)
                 if cand is None:
                     best = admission_bound(
-                        lists, i, length, set_id, complete, frontier_key
+                        lists, i, length, set_id, rr.complete, rr.frontier_key
                     )
-                    if theta > 0.0 and best < theta:
+                    if best <= 0.0 or best < theta:
                         continue
-                    if best <= 0.0:
-                        continue
-                    cand = candidates.add(Candidate(set_id, length))
-                cand.see(i, lists.contribution(i, length))
-                if cursor.exhausted():
-                    complete[i] = True
-                    frontier_contrib[i] = 0.0
+                    cand = candidates.add(Candidate(set_id, length), i)
+                cand.see(i, contribution)
 
             theta = current_theta()
-            f_threshold = frontier_threshold(frontier_contrib, complete)
+            f_threshold = rr.threshold()
             # Resolve / prune the candidate set against the current θ.
             finalists.extend(
-                prune_scan(lists, theta, candidates, complete, frontier_key)
+                prune_scan(lists, theta, candidates, rr.complete, rr.frontier_key)
             )
             theta = current_theta()
 

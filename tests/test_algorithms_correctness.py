@@ -62,15 +62,6 @@ class TestAgainstBruteForce:
             )
             assert got == reference(searcher, q, 0.6)
 
-    def test_hybrid_lazy_variant(self, searcher, small_vocab):
-        rng = random.Random(14)
-        for _ in range(8):
-            q = rng.sample(small_vocab, rng.randint(1, 6))
-            got = answers(
-                searcher.search(q, 0.6, algorithm="hybrid", lazy_scans=True)
-            )
-            assert got == reference(searcher, q, 0.6)
-
     @pytest.mark.parametrize("algo", ALGOS)
     def test_on_qgram_word_database(self, word_searcher, word_database, algo):
         collection, words = word_database

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro import SetCollection, SetSimilaritySearcher
 from repro.algorithms.base import QueryLists
-from repro.algorithms.kernel import admission_bound, frontier_threshold
+from repro.algorithms.kernel import RoundRobin, admission_bound
 from repro.core.errors import InvalidThresholdError
 from repro.core.properties import (
     best_case_score,
@@ -135,18 +135,46 @@ class TestLambdaCutoffs:
         assert lambda_cutoffs([], 1.0, 0.5) == []
 
 
+@pytest.fixture
+def three_lists():
+    """Open lists for the query {a, b, c}; c's list has one posting."""
+    searcher = SetSimilaritySearcher(
+        SetCollection.from_token_sets([["a", "b"], ["a"], ["b", "c"]])
+    )
+    return QueryLists(
+        searcher.index, searcher.prepare(["a", "b", "c"]), IOStats()
+    )
+
+
 class TestFrontierThreshold:
-    def test_sum(self):
-        f = frontier_threshold([0.5, 0.25, 0.1], [False, False, False])
-        assert f == pytest.approx(0.85)
+    """``F = Σ_i w_i(f_i)`` over the open lists (``RoundRobin.threshold``)."""
 
-    def test_none_is_exhausted(self):
+    @staticmethod
+    def first_round(lists):
+        rr = RoundRobin(lists)
+        heads = {i: w for i, _len, _id, w in rr.round(float("inf"))}
+        return rr, heads
+
+    def test_sum(self, three_lists):
+        rr, heads = self.first_round(three_lists)
+        open_lists = [i for i in heads if not rr.complete[i]]
+        assert len(open_lists) == 2
+        assert rr.threshold() == pytest.approx(sum(heads[i] for i in open_lists))
+
+    def test_none_is_exhausted(self, three_lists):
         # A complete list contributes nothing, whatever its last frontier.
-        f = frontier_threshold([0.5, 0.25, 0.1], [False, True, False])
-        assert f == pytest.approx(0.6)
+        rr, heads = self.first_round(three_lists)
+        assert rr.complete.count(True) == 1  # c's only posting was popped
+        rr.close(rr.complete.index(False))
+        open_lists = [i for i in heads if not rr.complete[i]]
+        assert len(open_lists) == 1
+        assert rr.threshold() == pytest.approx(heads[open_lists[0]])
 
-    def test_all_exhausted(self):
-        assert frontier_threshold([0.3, 0.2], [True, True]) == 0.0
+    def test_all_exhausted(self, three_lists):
+        rr, _heads = self.first_round(three_lists)
+        for i in range(len(three_lists)):
+            rr.close(i)
+        assert rr.threshold() == 0.0
 
 
 class TestMagnitudeBound:
