@@ -107,12 +107,7 @@ def run_stride(context, num_queries):
     )
     rows = []
     for stride in (1, 4, 16, 64):
-        index = InvertedIndex(
-            context.collection,
-            with_id_lists=False,
-            with_hash_index=False,
-            skiplist_stride=stride,
-        )
+        index = InvertedIndex(context.collection, skiplist_stride=stride)
         from repro.algorithms import make_algorithm
 
         elems = 0

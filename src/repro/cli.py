@@ -46,11 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--input", required=True, help="one string per line")
     p_index.add_argument("--output", required=True, help="index directory")
     p_index.add_argument("--q", type=int, default=3, help="q-gram size")
-    p_index.add_argument(
-        "--lean",
-        action="store_true",
-        help="skip the id-lists and hash index (SF/iNRA/Hybrid only)",
-    )
 
     p_query = sub.add_parser("query", help="threshold selection")
     p_query.add_argument("--index", required=True)
@@ -209,12 +204,7 @@ def cmd_index(args, out: IO[str]) -> int:
     if not strings:
         print("error: input file holds no strings", file=sys.stderr)
         return 2
-    matcher = StringMatcher(
-        strings,
-        tokenizer=QGramTokenizer(q=args.q),
-        with_id_lists=not args.lean,
-        with_hash_index=not args.lean,
-    )
+    matcher = StringMatcher(strings, tokenizer=QGramTokenizer(q=args.q))
     manifest = save_searcher(matcher.searcher, args.output)
     _write_cli_meta(args.output, args.q)
     print(
@@ -336,9 +326,7 @@ def cmd_dedupe(args, out: IO[str]) -> int:
     if len(collection) == 0:
         print("error: input file holds no strings", file=sys.stderr)
         return 2
-    searcher = SetSimilaritySearcher(
-        collection, with_id_lists=False, with_hash_index=False
-    )
+    searcher = SetSimilaritySearcher(collection)
     clusters = similarity_clusters(
         searcher, args.threshold, min_size=args.min_size
     )

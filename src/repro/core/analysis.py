@@ -16,7 +16,8 @@ statistics rather than data pages.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import bisect
+from typing import Dict, List
 
 from ..core.properties import length_bounds
 from ..core.query import PreparedQuery
@@ -65,12 +66,7 @@ def window_count(index: InvertedIndex, token: str, lo: float, hi: float) -> int:
     Computed by bisection over the posting order (an optimizer consulting
     index statistics) — no simulated I/O is charged.
     """
-    postings = index._postings.get(token)
-    if postings is None:
-        return 0
-    records = list(postings.weight_file.records())
-    import bisect
-
+    records = index.postings(token)
     start = bisect.bisect_left(records, (lo, -1))
     end = bisect.bisect_right(records, (hi, 1 << 62))
     return max(0, end - start)
@@ -98,34 +94,28 @@ def estimate_cost(
 
 
 def choose_algorithm(
-    index: InvertedIndex,
-    query: PreparedQuery,
-    tau: float,
-    has_hash_index: Optional[bool] = None,
+    index: InvertedIndex, query: PreparedQuery, tau: float
 ) -> str:
     """Pick a selection algorithm from the cost estimate.
 
     Heuristics, in order (mirroring the paper's findings):
 
     1. window covers (nearly) everything → pruning cannot pay for its
-       bookkeeping: use the plain merge (``sort-by-id``) when id lists
-       exist, else SF;
-    2. extremely selective window (a handful of postings in total) and a
-       hash index available → ``ita``: completing the few survivors by
-       random access beats any sequential plan;
+       bookkeeping: use the plain merge (``sort-by-id``);
+    2. extremely selective window (a handful of postings in total) →
+       ``ita``: completing the few survivors by random access beats any
+       sequential plan;
     3. otherwise → ``sf``, the paper's overall winner.
+
+    The id-ordered lists and hash indexes the first two need are built on
+    first use, so every plan is always available.
     """
     estimate = estimate_cost(index, query, tau)
-    if has_hash_index is None:
-        has_hash_index = index.with_hash_index
     if estimate.total_postings == 0:
         return "sf"  # nothing to read; any algorithm returns empty
     if estimate.window_fraction > 0.95:
-        return "sort-by-id" if index.with_id_lists else "sf"
-    if (
-        has_hash_index
-        and estimate.window_postings <= 4 * max(estimate.num_lists, 1)
-    ):
+        return "sort-by-id"
+    if estimate.window_postings <= 4 * max(estimate.num_lists, 1):
         return "ita"
     return "sf"
 

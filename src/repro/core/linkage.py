@@ -86,9 +86,7 @@ class FieldedMatcher:
                     self.tokenizer.tokens(text), payload=text
                 )
             collection.freeze()
-            self._searchers[field] = SetSimilaritySearcher(
-                collection, with_id_lists=False, with_hash_index=False
-            )
+            self._searchers[field] = SetSimilaritySearcher(collection)
 
     # ------------------------------------------------------------------
     def field_similarity(

@@ -49,27 +49,17 @@ def _algorithm_factory():
 class SetSimilaritySearcher:
     """An inverted index over a collection plus algorithm dispatch.
 
-    Parameters mirror :class:`~repro.storage.invlist.InvertedIndex`; by
-    default all auxiliary structures are built so every algorithm can run.
-    Pass ``with_hash_index=False`` / ``with_id_lists=False`` to save space
-    when TA-style / sort-by-id search is not needed.
+    ``index_options`` go to :class:`~repro.storage.invlist.InvertedIndex`.
+    Every algorithm can run on the index: the hash indexes TA/iTA probe
+    and the id-ordered lists sort-by-id merges are built per list on
+    first use, so a searcher that only runs SF, iNRA or Hybrid never
+    builds them.
     """
 
     def __init__(
-        self,
-        collection: SetCollection,
-        with_id_lists: bool = True,
-        with_skip_lists: bool = True,
-        with_hash_index: bool = True,
-        **index_options: Any,
+        self, collection: SetCollection, **index_options: Any
     ) -> None:
-        self.index = InvertedIndex(
-            collection,
-            with_id_lists=with_id_lists,
-            with_skip_lists=with_skip_lists,
-            with_hash_index=with_hash_index,
-            **index_options,
-        )
+        self.index = InvertedIndex(collection, **index_options)
 
     @property
     def collection(self) -> SetCollection:

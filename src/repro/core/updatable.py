@@ -60,9 +60,7 @@ class UpdatableSearcher(SetSimilaritySearcher):
 
     def _publish(self, collection: "_EpochCollection") -> None:
         """Build the epoch's index and make it the published one."""
-        super().__init__(
-            collection, with_id_lists=False, with_hash_index=False
-        )
+        super().__init__(collection)
 
     # Bound here too, so per-class wrappers (span tracing) find it in
     # this class's own namespace.

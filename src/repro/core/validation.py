@@ -10,7 +10,9 @@ The algorithms' correctness rests on invariants the index must uphold:
    no missing and no phantom postings;
 4. auxiliary structures agree: the hash index contains exactly the list's
    ids; id-ordered lists hold the same memberships; skip-list seeks land
-   at or before every boundary they are asked for.
+   at or before every boundary they are asked for.  Hash indexes and
+   id-ordered lists are built on first use, so validating materializes
+   every one of them.
 
 :func:`validate_index` runs all checks and returns a
 :class:`ValidationReport`; ``report.raise_if_invalid()`` turns findings
@@ -118,25 +120,21 @@ def validate_index(
             seen_memberships[(set_id, token)] = length
 
         # Invariant 4a: hash index mirrors the list exactly.
-        if index.with_hash_index:
-            for set_id in ids_in_list:
-                if index.probe(token, set_id) is None:
-                    report.add(
-                        f"hash index for {token!r} missing id {set_id}"
-                    )
+        for set_id in ids_in_list:
+            if index.probe(token, set_id) is None:
+                report.add(f"hash index for {token!r} missing id {set_id}")
 
         # Invariant 4b: id-ordered list holds the same memberships.
-        if index.with_id_lists:
-            id_cursor = index.id_cursor(token)
-            id_side = []
-            while not id_cursor.exhausted():
-                sid, ln = id_cursor.next()
-                id_side.append(sid)
-            if sorted(ids_in_list) != id_side:
-                report.add(
-                    f"id-ordered list for {token!r} disagrees with the "
-                    f"weight-ordered list"
-                )
+        id_cursor = index.id_cursor(token)
+        id_side = []
+        while not id_cursor.exhausted():
+            sid, ln = id_cursor.next()
+            id_side.append(sid)
+        if sorted(ids_in_list) != id_side:
+            report.add(
+                f"id-ordered list for {token!r} disagrees with the "
+                f"weight-ordered list"
+            )
 
     # Invariant 3: no missing postings.
     for rec in coll:

@@ -61,9 +61,7 @@ class WeightedSelector:
         index: Optional[InvertedIndex] = None,
     ) -> None:
         self.collection = collection
-        self.index = index or InvertedIndex(
-            collection, with_id_lists=False, with_hash_index=False
-        )
+        self.index = index or InvertedIndex(collection)
         self.max_tf = max(
             (
                 max(rec.counts.values(), default=1)

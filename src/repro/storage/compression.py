@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Iterable, List, Tuple
 
 from ..core.errors import StorageError
+from .invlist import POSTING_BYTES
 
 DEFAULT_QUANTUM = 1.0 / (1 << 16)
 
@@ -136,9 +137,8 @@ def compressed_size_report(index, quantum: float = DEFAULT_QUANTUM) -> dict:
     raw = 0
     compressed = 0
     for token in index.tokens():
-        postings = index._postings[token]
-        entries = list(postings.weight_file.records())
-        raw += postings.weight_file.size_bytes()
+        entries = index.postings(token)
+        raw += len(entries) * POSTING_BYTES
         compressed += CompressedPostings(entries, quantum).size_bytes()
     return {
         "raw_bytes": raw,

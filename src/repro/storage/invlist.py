@@ -6,12 +6,17 @@ For every token the index keeps:
   increasing ``(length, id)``.  Since ``len(q)`` and ``idf(token)`` are
   constant within a list, increasing length order *is* decreasing
   contribution (``w_i``) order — the order TA/NRA-style algorithms need;
-* optionally an **id-ordered list** ``(id(s), len(s))`` for the sort-by-id
-  multiway merge baseline;
 * optionally a :class:`~repro.storage.skiplist.SkipList` over the weight
   order, so Length Boundedness can seek to ``len >= tau*len(q)`` directly;
-* optionally an :class:`~repro.storage.exthash.ExtendibleHash` from set id
-  to length, giving TA its one-random-I/O containment probes.
+* an **id-ordered list** ``(id(s), len(s))`` for the sort-by-id multiway
+  merge baseline, built the first time an id cursor asks for it;
+* an :class:`~repro.storage.exthash.ExtendibleHash` from set id to length,
+  giving TA its one-random-I/O containment probes, built the first time a
+  probe asks for it.
+
+SF, iNRA and Hybrid read only the weight-ordered lists and skip lists, so
+an index that serves them never pays for the other two (the heaviest part
+of Figure 5).
 
 All access paths charge a shared :class:`~repro.storage.pages.IOStats`
 ledger, which is how the benchmarks measure pruning power and I/O without
@@ -23,7 +28,8 @@ from __future__ import annotations
 
 import bisect
 import copy
-from typing import Dict, Iterable, List, Optional, Tuple
+import threading
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..contracts import (
     CHECKS,
@@ -51,25 +57,26 @@ and finishes with a short sequential walk.
 """
 DEFAULT_HASH_BUCKET_CAPACITY = 16
 
+_PUBLISH_LOCK = threading.Lock()
+
 
 class TokenPostings:
-    """All physical structures for one token's postings."""
+    """All physical structures for one token's postings.
 
-    __slots__ = ("token", "weight_file", "id_file", "skip", "hash")
+    ``id_file`` and ``hash`` stay None until :class:`InvertedIndex`
+    publishes them on first use; once set they never change.
+    """
+
+    __slots__ = ("token", "weight_file", "skip", "id_file", "hash")
 
     def __init__(
-        self,
-        token: str,
-        weight_file: PagedFile,
-        id_file: Optional[PagedFile],
-        skip: Optional[SkipList],
-        hash_index: Optional[ExtendibleHash],
+        self, token: str, weight_file: PagedFile, skip: Optional[SkipList]
     ) -> None:
         self.token = token
         self.weight_file = weight_file
-        self.id_file = id_file
         self.skip = skip
-        self.hash = hash_index
+        self.id_file: Optional[PagedFile] = None
+        self.hash: Optional[ExtendibleHash] = None
 
     def __len__(self) -> int:
         return len(self.weight_file)
@@ -188,24 +195,41 @@ class IdOrderCursor(SequentialCursor):
 
     __slots__ = ("token",)
 
-    def __init__(self, postings: TokenPostings, stats: Optional[IOStats]):
-        if postings.id_file is None:
-            raise IndexNotBuiltError(
-                f"id-ordered list for token {postings.token!r} was not built"
-            )
-        super().__init__(postings.id_file, stats)
-        self.token = postings.token
+    def __init__(
+        self, token: str, id_file: PagedFile, stats: Optional[IOStats]
+    ) -> None:
+        super().__init__(id_file, stats)
+        self.token = token
+
+
+def _publish(
+    postings: TokenPostings, slot: str, build: Callable[[TokenPostings], Any]
+):
+    """Set ``postings.<slot>`` to ``build(postings)`` unless a racing reader
+    already has; return the one published object.
+
+    Callers check the slot for None first, so this lock is taken once per
+    structure (double-checked locking).  It makes the first build the only
+    object any reader ever sees: page and bucket charges are keyed on
+    object identity, so two racing builds would split one list's charges.
+    """
+    with _PUBLISH_LOCK:
+        value = getattr(postings, slot)
+        if value is None:
+            value = build(postings)
+            setattr(postings, slot, value)
+    return value
 
 
 class InvertedIndex:
     """The full per-token index over a frozen :class:`SetCollection`.
 
-    Parameters
-    ----------
-    with_id_lists / with_skip_lists / with_hash_index:
-        Which auxiliary structures to materialize.  The benchmark harness
-        builds all three once and lets individual algorithms opt out at
-        query time; storage-ablation benchmarks build stripped variants.
+    The weight-ordered lists and (unless ``with_skip_lists=False``, the
+    NSL ablation) their skip lists are built here; each list's id-ordered
+    file and hash index are built the first time :meth:`id_cursor` or
+    :meth:`probe` needs them, exactly as an eager build would lay them
+    out.  Lists are shared with every :meth:`with_set` successor, so a
+    structure built through one epoch serves the others too.
 
     ``num_sets`` is one past the highest set id the index covers.
     """
@@ -213,9 +237,7 @@ class InvertedIndex:
     def __init__(
         self,
         collection: SetCollection,
-        with_id_lists: bool = True,
         with_skip_lists: bool = True,
-        with_hash_index: bool = True,
         page_capacity: int = DEFAULT_PAGE_CAPACITY,
         skiplist_max_bytes: int = DEFAULT_SKIPLIST_MAX_BYTES,
         skiplist_stride: int = DEFAULT_SKIPLIST_STRIDE,
@@ -225,9 +247,7 @@ class InvertedIndex:
             raise IndexNotBuiltError("collection must be frozen before indexing")
         self.collection = collection
         self.num_sets = len(collection)
-        self.with_id_lists = with_id_lists
         self.with_skip_lists = with_skip_lists
-        self.with_hash_index = with_hash_index
         self.page_capacity = page_capacity
         self.skiplist_max_bytes = skiplist_max_bytes
         self.skiplist_stride = skiplist_stride
@@ -248,17 +268,14 @@ class InvertedIndex:
     def _build_postings(
         self, token: str, entries: List[Tuple[float, int]]
     ) -> TokenPostings:
-        """Every physical structure for one token from its sorted entries."""
+        """One token's weight-ordered file and skip list from its sorted
+        entries."""
         if invariants_enabled():
             check_order_preservation(
                 entries, source=f"weight-ordered list {token!r}"
             )
         weight_file = PagedFile(POSTING_BYTES, self.page_capacity)
         weight_file.extend(entries)
-        id_file = None
-        if self.with_id_lists:
-            id_file = PagedFile(POSTING_BYTES, self.page_capacity)
-            id_file.extend(sorted((sid, ln) for ln, sid in entries))
         skip = None
         if self.with_skip_lists:
             skip = SkipList(
@@ -266,12 +283,20 @@ class InvertedIndex:
                 max_bytes=self.skiplist_max_bytes,
                 stride=self.skiplist_stride,
             )
-        hash_index = None
-        if self.with_hash_index:
-            hash_index = ExtendibleHash(self.hash_bucket_capacity)
-            for ln, sid in entries:
-                hash_index.insert(sid, ln)
-        return TokenPostings(token, weight_file, id_file, skip, hash_index)
+        return TokenPostings(token, weight_file, skip)
+
+    def _build_id_file(self, postings: TokenPostings) -> PagedFile:
+        id_file = PagedFile(POSTING_BYTES, self.page_capacity)
+        id_file.extend(
+            sorted((sid, ln) for ln, sid in postings.weight_file.records())
+        )
+        return id_file
+
+    def _build_hash(self, postings: TokenPostings) -> ExtendibleHash:
+        hash_index = ExtendibleHash(self.hash_bucket_capacity)
+        for ln, sid in postings.weight_file.records():
+            hash_index.insert(sid, ln)
+        return hash_index
 
     def with_set(
         self, set_id: int, tokens: Iterable[str], length: float
@@ -291,8 +316,7 @@ class InvertedIndex:
         clone.num_sets = max(self.num_sets, set_id + 1)
         posting = (length, set_id)
         for token in tokens:
-            old = self._postings.get(token)
-            entries = list(old.weight_file.records()) if old else []
+            entries = list(self.postings(token))
             bisect.insort(entries, posting)
             clone._postings[token] = self._build_postings(token, entries)
         return clone
@@ -309,6 +333,14 @@ class InvertedIndex:
     def list_length(self, token: str) -> int:
         postings = self._postings.get(token)
         return len(postings) if postings else 0
+
+    def postings(self, token: str) -> Sequence[Tuple[float, int]]:
+        """The token's stored ``(length, set_id)`` records in weight order,
+        without charging I/O (for statistics and rebuilds); empty for
+        unseen tokens.  The sequence is the list itself: do not mutate it.
+        """
+        postings = self._postings.get(token)
+        return postings.weight_file._records if postings else ()
 
     def cursor(
         self,
@@ -339,7 +371,10 @@ class InvertedIndex:
         postings = self._postings.get(token)
         if postings is None:
             return None
-        return IdOrderCursor(postings, stats)
+        id_file = postings.id_file
+        if id_file is None:
+            id_file = _publish(postings, "id_file", self._build_id_file)
+        return IdOrderCursor(token, id_file, stats)
 
     def probe(
         self, token: str, set_id: int, stats: Optional[IOStats] = None
@@ -349,35 +384,33 @@ class InvertedIndex:
         postings = self._postings.get(token)
         if postings is None:
             return None
-        if postings.hash is None:
-            raise IndexNotBuiltError(
-                "hash index was not built; TA-style algorithms need "
-                "with_hash_index=True"
-            )
+        hash_index = postings.hash
+        if hash_index is None:
+            hash_index = _publish(postings, "hash", self._build_hash)
         faults_runtime.maybe_fire("storage.hash_probe")
-        found, length = postings.hash.probe(set_id, stats)
+        found, length = hash_index.probe(set_id, stats)
         return length if found else None
 
     # ------------------------------------------------------------------
     # size accounting (Figure 5)
     # ------------------------------------------------------------------
     def size_report(self) -> Dict[str, int]:
-        """Bytes per component, for the index-size benchmark."""
-        weight = sum(p.weight_file.size_bytes() for p in self._postings.values())
-        id_lists = sum(
-            p.id_file.size_bytes()
-            for p in self._postings.values()
-            if p.id_file is not None
-        )
+        """Bytes per component, for the index-size benchmark.
+
+        Every structure is reported as if materialized: a list whose hash
+        index was never built is sized from a throwaway build, which is
+        neither kept nor published.  The id-ordered file holds the same
+        records as the weight-ordered one, so it has the same size.
+        """
+        postings = self._postings.values()
+        weight = sum(p.weight_file.size_bytes() for p in postings)
+        id_lists = weight
         skips = sum(
-            p.skip.size_bytes()
-            for p in self._postings.values()
-            if p.skip is not None
+            p.skip.size_bytes() for p in postings if p.skip is not None
         )
         hashes = sum(
-            p.hash.size_bytes()
-            for p in self._postings.values()
-            if p.hash is not None
+            (p.hash if p.hash is not None else self._build_hash(p)).size_bytes()
+            for p in postings
         )
         return {
             "inverted_lists_by_weight": weight,

@@ -2,13 +2,19 @@
 
 The paper's indexes are disk resident and built once; this module gives
 the library the matching lifecycle: build, :func:`save_searcher`, ship,
-and :func:`load_searcher` without re-tokenizing or re-sorting — and it
-does so *crash-safely*: a process killed at any point during a save
-leaves the directory loadable as either the old or the new index state,
-never corrupt (simulated and asserted by ``tests/test_recovery.py``
-through the :mod:`repro.faults` layer).
+and :func:`load_searcher` — and it does so *crash-safely*: a process
+killed at any point during a save leaves the directory loadable as
+either the old or the new index state, never corrupt (simulated and
+asserted by ``tests/test_recovery.py`` through the :mod:`repro.faults`
+layer).
 
-Generation layout (format version 2, the default)::
+A load re-parses ``collection.jsonl`` (stored token counts, so nothing
+is re-tokenized), rebuilds the weight-ordered lists and skip lists from
+it, and then cross-checks the rebuild against ``postings.bin``.  Hash
+indexes and id-ordered lists are not stored; the loaded index builds
+them on first use, like a fresh one.
+
+Generation layout (format version 2)::
 
     index-dir/
       CURRENT              # text: name of the live generation
@@ -32,9 +38,8 @@ it raise :class:`~repro.core.errors.CorruptIndexError` carrying the
 report.
 
 The flat single-directory layout of format version 1
-(``manifest.json`` + data files at top level) is still read, and
-``save_searcher(..., layout="flat")`` still writes it — now with the
-data-first + fsync ordering and manifest checksums.
+(``manifest.json`` + data files at top level) is still read; nothing
+writes it any more.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from ..core.collection import SetCollection
 from ..core.errors import CorruptIndexError, StorageError
 from ..core.search import SetSimilaritySearcher
 from ..faults import runtime as faults_runtime
+from .invlist import InvertedIndex
 
 FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
@@ -220,6 +226,21 @@ def _postings_bytes(index) -> Tuple[bytes, int]:
     return b"".join(chunks), num_postings
 
 
+def _stored_index(index: InvertedIndex) -> InvertedIndex:
+    """The index whose postings a load of ``index.collection`` rebuilds.
+
+    A load computes statistics over every stored set.  An updatable
+    searcher scores the sets inserted since its last rebuild under older
+    statistics, so their stored lengths would fail the load's cross-check:
+    such an index is stored as the rebuild the load will make.
+    """
+    collection = index.collection
+    if collection.stats.num_sets == len(collection):
+        return index
+    rebuilt = SetCollection.from_token_sets(rec.tokens for rec in collection)
+    return InvertedIndex(rebuilt, with_skip_lists=False)
+
+
 def _build_manifest(
     searcher: SetSimilaritySearcher,
     num_postings: int,
@@ -231,9 +252,11 @@ def _build_manifest(
         "num_sets": len(searcher.collection),
         "num_tokens": len(list(index.tokens())),
         "num_postings": num_postings,
-        "with_id_lists": index.with_id_lists,
+        # Always true: both are built on first use.  Written for loaders
+        # that still read them; this one ignores them.
+        "with_id_lists": True,
         "with_skip_lists": index.with_skip_lists,
-        "with_hash_index": index.with_hash_index,
+        "with_hash_index": True,
         "checksums": checksums,
     }
 
@@ -246,7 +269,7 @@ def _write_payload_files(directory: Path, searcher) -> Dict[str, Any]:
     whose manifest (old or absent) matches what is actually on disk.
     """
     collection_data = _collection_bytes(searcher.collection)
-    postings_data, num_postings = _postings_bytes(searcher.index)
+    postings_data, num_postings = _postings_bytes(_stored_index(searcher.index))
     _write_file(
         directory / COLLECTION_FILE, collection_data, "persist.write_collection"
     )
@@ -316,29 +339,14 @@ def _clean_stale_tmp(directory: Path) -> None:
 # ----------------------------------------------------------------------
 # save
 # ----------------------------------------------------------------------
-def save_searcher(
-    searcher: SetSimilaritySearcher, path, layout: str = "generation"
-) -> Dict[str, Any]:
+def save_searcher(searcher: SetSimilaritySearcher, path) -> Dict[str, Any]:
     """Persist a searcher's collection and index to a directory.
 
-    ``layout="generation"`` (default) writes a new crash-safe
-    generation and flips ``CURRENT`` to it only after everything is
-    durable.  ``layout="flat"`` writes the version-1-style flat
-    directory in place (data files first, fsynced, manifest last) for
-    tooling that expects the old single-level layout.
-
-    Returns the manifest that was written.
+    Writes a new crash-safe generation and flips ``CURRENT`` to it only
+    after everything is durable.  Returns the manifest that was written.
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-
-    if layout == "flat":
-        return _write_payload_files(directory, searcher)
-    if layout != "generation":
-        raise StorageError(
-            f"unknown layout {layout!r} (use 'generation' or 'flat')"
-        )
-
     _clean_stale_tmp(directory)
     gen_name = _next_generation_name(directory)
     tmp_dir = directory / (_TMP_PREFIX + gen_name)
@@ -501,14 +509,7 @@ def _load_generation(gen_dir: Path) -> SetSimilaritySearcher:
             "manifest", f"unsupported format version {version!r}"
         )
 
-    required = (
-        "num_sets",
-        "num_tokens",
-        "num_postings",
-        "with_id_lists",
-        "with_skip_lists",
-        "with_hash_index",
-    )
+    required = ("num_sets", "num_tokens", "num_postings", "with_skip_lists")
     missing = [key for key in required if key not in manifest]
     if missing:
         raise _ComponentFailure(
@@ -548,10 +549,7 @@ def _load_generation(gen_dir: Path) -> SetSimilaritySearcher:
 
     collection = _parse_collection(collection_data, manifest)
     searcher = SetSimilaritySearcher(
-        collection,
-        with_id_lists=manifest["with_id_lists"],
-        with_skip_lists=manifest["with_skip_lists"],
-        with_hash_index=manifest["with_hash_index"],
+        collection, with_skip_lists=manifest["with_skip_lists"]
     )
     _verify_postings(searcher, postings_data, manifest)
     return searcher

@@ -91,16 +91,6 @@ class TestChoice:
         query = searcher.prepare(vocab[:4])
         assert choose_algorithm(searcher.index, query, 0.8) in ("sf", "ita")
 
-    def test_no_id_lists_falls_back_to_sf(self, setup):
-        searcher, vocab = setup
-        from repro.storage.invlist import InvertedIndex
-
-        lean = InvertedIndex(
-            searcher.collection, with_id_lists=False, with_hash_index=False
-        )
-        query = searcher.prepare(vocab[:4])
-        assert choose_algorithm(lean, query, 0.01) == "sf"
-
     def test_auto_spec_returns_correct_answers(self, setup):
         searcher, vocab = setup
         rng = random.Random(8)

@@ -100,19 +100,6 @@ class TestIndexAndQuery:
         assert code == 0
         assert "Main Street" in out
 
-    def test_lean_index(self, strings_file, tmp_path):
-        code, _ = run_cli(
-            ["index", "--input", str(strings_file),
-             "--output", str(tmp_path / "lean"), "--lean"]
-        )
-        assert code == 0
-        code, out = run_cli(
-            ["query", "--index", str(tmp_path / "lean"),
-             "--text", "Elm Avenue", "--threshold", "0.8"]
-        )
-        assert code == 0
-        assert "Elm Avenue" in out
-
     def test_empty_input_file(self, tmp_path):
         empty = tmp_path / "empty.txt"
         empty.write_text("\n\n")

@@ -1,5 +1,8 @@
 """Unit tests for the inverted-list index."""
 
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +11,9 @@ from repro.core.collection import SetCollection
 from repro.core.errors import IndexNotBuiltError, StorageError
 from repro.faults import use_fault_plan
 from repro.storage.buffer import BufferedIOStats
-from repro.storage.invlist import InvertedIndex
-from repro.storage.pages import IOStats
+from repro.storage.exthash import ExtendibleHash
+from repro.storage.invlist import POSTING_BYTES, InvertedIndex
+from repro.storage.pages import IOStats, PagedFile, SequentialCursor
 from repro.storage.skiplist import SkipList
 
 
@@ -118,11 +122,6 @@ class TestIdOrderCursor:
             ids.append(sid)
         assert ids == sorted(ids) == [1, 2, 3, 4]
 
-    def test_disabled_raises(self, coll):
-        idx = InvertedIndex(coll, with_id_lists=False)
-        with pytest.raises(IndexNotBuiltError):
-            idx.id_cursor("a")
-
     def test_len(self, index):
         assert len(index.id_cursor("a")) == 4
 
@@ -143,10 +142,6 @@ class TestProbe:
         assert stats.random_pages == 1
         assert stats.hash_probes == 1
 
-    def test_disabled_raises(self, coll):
-        idx = InvertedIndex(coll, with_hash_index=False)
-        with pytest.raises(IndexNotBuiltError):
-            idx.probe("a", 0)
 
 
 class TestSizeReport:
@@ -160,14 +155,13 @@ class TestSizeReport:
             v for k, v in report.items() if k != "total"
         )
 
-    def test_stripped_index_smaller(self, coll):
-        full = InvertedIndex(coll).size_report()["total"]
-        lean = InvertedIndex(
-            coll,
-            with_id_lists=False,
-            with_hash_index=False,
-        ).size_report()["total"]
-        assert lean < full
+    def test_reports_unbuilt_structures_without_building_them(self, index):
+        before = index.size_report()
+        assert all(p.hash is None for p in index._postings.values())
+        for token in index.tokens():
+            index.probe(token, 0)
+            index.id_cursor(token)
+        assert index.size_report() == before
 
     def test_hashing_dominates(self, coll):
         # The paper's Figure 5 point: extendible hashing is the heavy part.
@@ -351,3 +345,213 @@ class TestCursorEquivalence:
             _drive(scenario, stats, IOStats())
         fires = [e for e in plan.journal if e[0] == "storage.read_page"]
         assert len(fires) == stats.sequential_pages + stats.random_pages
+
+
+# ---------------------------------------------------------------------------
+# Hash indexes and id-ordered lists are built on first use
+# ---------------------------------------------------------------------------
+
+
+class TestBuiltOnFirstUse:
+    def test_fresh_index_has_neither(self, index):
+        cursor = index.cursor("a")
+        while not cursor.exhausted():
+            cursor.next()
+        assert all(
+            p.hash is None and p.id_file is None
+            for p in index._postings.values()
+        )
+
+    def test_each_access_path_builds_only_its_own_list(self, index):
+        index.probe("a", 0)
+        index.id_cursor("b")
+        built = {
+            token: (p.hash is not None, p.id_file is not None)
+            for token, p in index._postings.items()
+        }
+        assert built == {
+            "a": (True, False),
+            "b": (False, True),
+            "c": (False, False),
+            "d": (False, False),
+        }
+
+    def test_published_once(self, index):
+        index.probe("a", 0)
+        first_hash = index._postings["a"].hash
+        first_file = index.id_cursor("a")._file
+        index.probe("a", 1)
+        assert index._postings["a"].hash is first_hash
+        assert index.id_cursor("a")._file is first_file
+        assert index._postings["a"].id_file is first_file
+
+    def test_with_set_shares_built_structures(self, coll):
+        index = InvertedIndex(coll)
+        index.probe("a", 0)
+        grown = index.with_set(5, ["b"], coll.length(3))
+        assert grown._postings["a"].hash is index._postings["a"].hash
+        assert grown._postings["b"].hash is None
+
+
+def _eager(entries, page_capacity, bucket_capacity):
+    """The hash index and id-ordered file as an eager build lays them out."""
+    hash_index = ExtendibleHash(bucket_capacity)
+    for length, set_id in entries:
+        hash_index.insert(set_id, length)
+    id_file = PagedFile(POSTING_BYTES, page_capacity)
+    id_file.extend(sorted((sid, ln) for ln, sid in entries))
+    return hash_index, id_file
+
+
+@st.composite
+def _lazy_scenarios(draw):
+    sets = draw(
+        st.lists(
+            st.sets(st.sampled_from(_VOCAB), min_size=1),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    options = {
+        "page_capacity": draw(st.integers(1, 6)),
+        "hash_bucket_capacity": draw(st.integers(1, 6)),
+    }
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["probe", "read"]),
+                st.sampled_from(_VOCAB),
+                st.integers(0, len(sets)),  # probed id; len(sets) misses
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    return sets, options, ops
+
+
+def _compare_with_eager(scenario, stats, eager_stats):
+    """Drive probes and id-cursor reads on a fresh index and on eagerly
+    built structures; answers, records and ledgers agree at every step."""
+    sets, options, ops = scenario
+    coll = SetCollection.from_token_sets([sorted(s) for s in sets])
+    index = InvertedIndex(coll, **options)
+    eager = {
+        token: _eager(
+            index.postings(token),
+            options["page_capacity"],
+            options["hash_bucket_capacity"],
+        )
+        for token in index.tokens()
+    }
+    cursors = {}
+    for op, token, set_id in ops:
+        if token not in index:
+            assert index.probe(token, set_id, stats) is None
+            assert index.id_cursor(token, stats) is None
+            continue
+        hash_index, id_file = eager[token]
+        if op == "probe":
+            found, length = hash_index.probe(set_id, eager_stats)
+            assert index.probe(token, set_id, stats) == (
+                length if found else None
+            )
+        else:
+            if token not in cursors or cursors[token][0].exhausted():
+                cursors[token] = (
+                    index.id_cursor(token, stats),
+                    SequentialCursor(id_file, eager_stats),
+                )
+            lazy, reference = cursors[token]
+            assert lazy.next() == reference.next()
+        assert stats.snapshot() == eager_stats.snapshot()
+
+
+class TestLazyEqualsEager:
+    @settings(max_examples=100, deadline=None)
+    @given(_lazy_scenarios())
+    def test_plain_ledger(self, scenario):
+        _compare_with_eager(scenario, IOStats(), IOStats())
+
+    @settings(max_examples=100, deadline=None)
+    @given(_lazy_scenarios(), st.integers(1, 4))
+    def test_buffered_ledger(self, scenario, capacity):
+        _compare_with_eager(
+            scenario, BufferedIOStats(capacity), BufferedIOStats(capacity)
+        )
+
+
+class _KeyLedger(IOStats):
+    """A ledger that also records the key of every page charge."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.keys = []
+
+    def charge_sequential_page(self, pages=1, key=None):
+        super().charge_sequential_page(pages, key)
+        self.keys.append(key)
+
+    def charge_random_page(self, pages=1, key=None):
+        super().charge_random_page(pages, key)
+        self.keys.append(key)
+
+
+def _race(access):
+    """Run ``access(ledger)`` on two threads released together."""
+    barrier = threading.Barrier(2)
+    results = [None, None]
+    ledgers = [_KeyLedger(), _KeyLedger()]
+
+    def run(i):
+        barrier.wait()
+        results[i] = access(ledgers[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results, ledgers
+
+
+class TestFirstUseRace:
+    """Two readers hit a list's unbuilt structure at once; the build is
+    slowed so both are inside it together."""
+
+    @staticmethod
+    def _slow(monkeypatch, name):
+        build = getattr(InvertedIndex, name)
+
+        def slow_build(self, postings):
+            time.sleep(0.05)
+            return build(self, postings)
+
+        monkeypatch.setattr(InvertedIndex, name, slow_build)
+
+    def test_hash_index(self, coll, monkeypatch):
+        index = InvertedIndex(coll, hash_bucket_capacity=1)
+        self._slow(monkeypatch, "_build_hash")
+        answers, ledgers = _race(lambda stats: index.probe("a", 2, stats))
+        published = index._postings["a"].hash
+        assert answers[0] == answers[1] == pytest.approx(coll.length(2))
+        assert ledgers[0].snapshot() == ledgers[1].snapshot()
+        assert ledgers[0].keys == ledgers[1].keys
+        assert ledgers[0].keys[0][0] == id(published)
+
+    def test_id_list(self, coll, monkeypatch):
+        index = InvertedIndex(coll, page_capacity=1)
+        self._slow(monkeypatch, "_build_id_file")
+
+        def read_all(stats):
+            cursor = index.id_cursor("a", stats)
+            return cursor, [cursor.next() for _ in range(len(cursor))]
+
+        results, ledgers = _race(read_all)
+        (first, records), (second, again) = results
+        assert first._file is second._file is index._postings["a"].id_file
+        assert records == again
+        assert ledgers[0].snapshot() == ledgers[1].snapshot()
+        assert ledgers[0].keys == ledgers[1].keys

@@ -47,9 +47,7 @@ class FixedStats(IdfStatistics):
 class ManualIndex:
     """An inverted index with hand-written postings (no collection)."""
 
-    with_id_lists = False
     with_skip_lists = True
-    with_hash_index = True
 
     def __init__(self, lists: dict) -> None:
         self._postings = {}
@@ -58,9 +56,7 @@ class ManualIndex:
             weight_file = PagedFile(POSTING_BYTES)
             weight_file.extend(entries)
             skip = SkipList(entries, stride=1)
-            self._postings[token] = TokenPostings(
-                token, weight_file, None, skip, None
-            )
+            self._postings[token] = TokenPostings(token, weight_file, skip)
         self._membership = {
             token: {sid: ln for ln, sid in entries}
             for token, entries in lists.items()

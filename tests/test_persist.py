@@ -1,6 +1,7 @@
 """Tests for index persistence (save_searcher / load_searcher)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -20,6 +21,18 @@ def saved(tmp_path, searcher):
     # The default layout is generational: the payload files live under
     # the first generation directory, named by CURRENT.
     return tmp_path / "idx" / "gen-000001", manifest, searcher
+
+
+def _save_flat(searcher, directory):
+    """A version-1-style flat directory: one generation's files at the top
+    level, with no ``CURRENT`` pointer."""
+    manifest = save_searcher(searcher, directory)
+    generation = directory / "gen-000001"
+    for name in ("manifest.json", "collection.jsonl", "postings.bin"):
+        shutil.move(str(generation / name), str(directory / name))
+    generation.rmdir()
+    (directory / "CURRENT").unlink()
+    return manifest
 
 
 class TestRoundTrip:
@@ -63,18 +76,64 @@ class TestRoundTrip:
         assert loaded.collection[0].counts == {"a": 2, "b": 1}
 
     def test_component_flags_respected(self, tmp_path, small_collection):
-        lean = SetSimilaritySearcher(
-            small_collection, with_id_lists=False, with_hash_index=False
+        nsl = SetSimilaritySearcher(small_collection, with_skip_lists=False)
+        manifest = save_searcher(nsl, tmp_path / "nsl")
+        loaded = load_searcher(tmp_path / "nsl")
+        assert not loaded.index.with_skip_lists
+        # Hash indexes and id lists are always available (built on first
+        # use); the manifest says so for loaders that read the keys.
+        assert manifest["with_id_lists"] is True
+        assert manifest["with_hash_index"] is True
+
+    def test_loaded_index_builds_aux_structures_on_first_use(self, saved):
+        path, _m, original = saved
+        loaded = load_searcher(path.parent)
+        lists = loaded.index._postings
+        assert all(p.hash is None and p.id_file is None for p in lists.values())
+        token = next(iter(sorted(lists)))
+        set_id = loaded.index.postings(token)[0][1]
+        assert loaded.index.probe(token, set_id) == original.index.probe(
+            token, set_id
         )
-        save_searcher(lean, tmp_path / "lean")
-        loaded = load_searcher(tmp_path / "lean")
-        assert not loaded.index.with_id_lists
-        assert not loaded.index.with_hash_index
+        assert lists[token].hash is not None and lists[token].id_file is None
+
+    def test_manifest_without_aux_structures_loads(self, saved):
+        # Earlier versions could save an index with both structures
+        # switched off and wrote both keys false; the loader ignores them
+        # and builds the structures on first use.
+        path, _m, original = saved
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["with_id_lists"] = manifest["with_hash_index"] = False
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        loaded = load_searcher(path.parent)
+        token = sorted(loaded.index.tokens())[0]
+        assert len(loaded.index.id_cursor(token)) == original.index.list_length(
+            token
+        )
+
+
+class TestUpdatableSearcher:
+    def test_pending_inserts_load_as_a_rebuild(self, tmp_path):
+        from repro.core.updatable import UpdatableSearcher
+
+        live = UpdatableSearcher([["b"], ["a"], ["a"], ["a"], ["a"]])
+        live.add(["a"])  # scored under the pinned five-set statistics
+        assert live.pending == 1
+        save_searcher(live, tmp_path / "u")
+        loaded = load_searcher(tmp_path / "u")
+        assert loaded.recovery_report.clean
+        live.rebuild()
+        for tokens in (["a"], ["a", "b"]):
+            assert [(r.set_id, round(r.score, 9))
+                    for r in loaded.search(tokens, 0.3).results] == [
+                (r.set_id, round(r.score, 9))
+                for r in live.search(tokens, 0.3).results
+            ]
 
 
 class TestFlatLayout:
     def test_flat_round_trip(self, tmp_path, searcher, small_vocab):
-        save_searcher(searcher, tmp_path / "flat", layout="flat")
+        _save_flat(searcher, tmp_path / "flat")
         assert (tmp_path / "flat" / "manifest.json").exists()
         assert not (tmp_path / "flat" / "CURRENT").exists()
         loaded = load_searcher(tmp_path / "flat")
@@ -91,19 +150,13 @@ class TestFlatLayout:
         # the loader must still accept it (postings verification covers
         # it) rather than demand fields the old writer never produced.
         coll = SetCollection.from_token_sets([["a", "b"], ["b", "c"]])
-        save_searcher(
-            SetSimilaritySearcher(coll), tmp_path / "v1", layout="flat"
-        )
+        _save_flat(SetSimilaritySearcher(coll), tmp_path / "v1")
         manifest = json.loads((tmp_path / "v1" / "manifest.json").read_text())
         manifest["format_version"] = 1
         del manifest["checksums"]
         (tmp_path / "v1" / "manifest.json").write_text(json.dumps(manifest))
         loaded = load_searcher(tmp_path / "v1")
         assert len(loaded.collection) == 2
-
-    def test_unknown_layout_rejected(self, tmp_path, searcher):
-        with pytest.raises(StorageError):
-            save_searcher(searcher, tmp_path / "x", layout="zip")
 
     def test_successive_saves_advance_generations(self, tmp_path, searcher):
         save_searcher(searcher, tmp_path / "g")

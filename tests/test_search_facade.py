@@ -27,14 +27,16 @@ class TestSetSimilaritySearcher:
         assert a.ids() == b.ids()
 
     def test_lean_index_still_searches(self, small_collection, small_vocab):
-        lean = SetSimilaritySearcher(
-            small_collection,
-            with_id_lists=False,
-            with_hash_index=False,
+        # SF needs neither hash indexes nor id-ordered lists, so a
+        # searcher that only runs SF never builds them.
+        lean = SetSimilaritySearcher(small_collection)
+        result = lean.search([small_vocab[0]], 0.5)
+        assert all(
+            p.hash is None and p.id_file is None
+            for p in lean.index._postings.values()
         )
-        result = lean.search([small_vocab[0]], 0.5)  # sf needs neither
         full = SetSimilaritySearcher(small_collection)
-        assert result.ids() == full.search([small_vocab[0]], 0.5).ids()
+        assert result.ids() == full.search([small_vocab[0]], 0.5, "ta").ids()
 
     def test_algorithm_names_exposed(self):
         names = algorithm_names()

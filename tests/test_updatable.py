@@ -175,34 +175,29 @@ _sets = st.lists(st.sampled_from(VOCAB), max_size=4)
 
 
 def _layout(index: InvertedIndex, num_ids: int):
-    """Every list's records, skip-list landings and hash probes."""
+    """Every list's records, skip-list landings, hash probes and id-ordered
+    records; the last two build their structures on first use."""
     out = {}
     for token in sorted(index.tokens()):
-        postings = index._postings[token]
-        records = list(postings.weight_file.records())
+        skip = index._postings[token].skip
+        records = list(index.postings(token))
         keys = [(0.0, -1)] + [(ln, -1) for ln, _ in records] + [
             (ln, sid + 1) for ln, sid in records
         ] + [(float("inf"), -1)]
-        seeks = probes = None
-        if postings.skip is not None:
+        seeks = None
+        if skip is not None:
             seeks = []
             for key in keys:
                 stats = IOStats()
-                seeks.append((postings.skip.seek_ge(key, stats),
-                               stats.snapshot()))
-        if postings.hash is not None:
-            probes = []
-            for sid in range(num_ids + 1):
-                stats = IOStats()
-                probes.append((index.probe(token, sid, stats),
-                               stats.snapshot()))
-        out[token] = (
-            records,
-            list(postings.id_file.records())
-            if postings.id_file is not None else None,
-            seeks,
-            probes,
-        )
+                seeks.append((skip.seek_ge(key, stats), stats.snapshot()))
+        probes = []
+        for sid in range(num_ids + 1):
+            stats = IOStats()
+            probes.append((index.probe(token, sid, stats), stats.snapshot()))
+        stats = IOStats()
+        id_cursor = index.id_cursor(token, stats)
+        id_records = [id_cursor.next() for _ in range(len(id_cursor))]
+        out[token] = (records, seeks, probes, id_records, stats.snapshot())
     return out
 
 
@@ -214,9 +209,7 @@ class TestCopyOnWriteInsert:
         page_capacity=st.integers(1, 6),
         skiplist_stride=st.integers(1, 5),
         hash_bucket_capacity=st.integers(1, 4),
-        with_id_lists=st.booleans(),
         with_skip_lists=st.booleans(),
-        with_hash_index=st.booleans(),
     )
     def test_with_set_matches_scratch_build(self, initial, inserts, **options):
         collection = _EpochCollection(

@@ -23,10 +23,14 @@ class TestCleanIndexes:
         assert report.checked_postings == sum(len(r) for r in coll)
 
     def test_lean_index_valid(self, coll):
-        index = InvertedIndex(
-            coll, with_id_lists=False, with_hash_index=False
-        )
+        # Hash indexes and id lists are checked too: validating builds
+        # them on an index that had none.
+        index = InvertedIndex(coll, with_skip_lists=False)
         assert validate_index(index).valid
+        assert all(
+            p.hash is not None and p.id_file is not None
+            for p in index._postings.values()
+        )
 
     def test_session_corpus_valid(self, searcher):
         assert validate_index(searcher.index).valid
