@@ -11,8 +11,9 @@ Three organizations, matching the paper:
   Hybrid algorithm: one length-sorted list ``c_i`` per inverted list plus a
   hash table.  Candidates discovered in list ``i`` arrive in increasing
   ``(length, id)`` order, so insertion is an O(1) append; ``max_len(C)`` is
-  the max over the tails of the per-list lists (O(n), not O(|C|)); pruning
-  drops provably dead candidates from the backs of the lists.
+  a running value, recomputed as the max over the tails of the per-list
+  lists (O(n), not O(|C|)) only after its holder leaves; pruning drops
+  provably dead candidates from the backs of the lists.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ class PartitionedCandidateSet:
         self._by_id: Dict[int, Candidate] = {}
         self._partitions: List[List[Candidate]] = [[] for _ in range(num_lists)]
         self.peak = 0
+        # max_len(C), or None once a removal may have taken the maximum.
+        self._max_length: Optional[float] = 0.0
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -133,12 +136,23 @@ class PartitionedCandidateSet:
         self._partitions[discovered_in].append(candidate)
         if len(self._by_id) > self.peak:
             self.peak = len(self._by_id)
+        best = self._max_length
+        if best is not None and candidate.length > best:
+            self._max_length = candidate.length
         return candidate
 
     def remove(self, set_id: int) -> None:
         """Tombstone: drop from the hash table; the partition entry is
         skipped (and physically dropped when the back is trimmed)."""
-        self._by_id.pop(set_id, None)
+        candidate = self._by_id.pop(set_id, None)
+        if candidate is not None:
+            self._forget(candidate)
+
+    def _forget(self, candidate: Candidate) -> None:
+        """Invalidate the running maximum if ``candidate`` may have held it."""
+        best = self._max_length
+        if best is not None and candidate.length >= best:
+            self._max_length = None
 
     def _trim_partition_back(self, partition: List[Candidate]) -> None:
         while partition and partition[-1].set_id not in self._by_id:
@@ -147,17 +161,22 @@ class PartitionedCandidateSet:
     def max_length(self) -> float:
         """``max_len(C)``: max candidate length, from the partition tails.
 
-        Costs O(num_lists) — peeking one (live) tail per partition — instead
-        of a scan of the whole candidate set; this is exactly the point of
+        A running value: :meth:`add` raises it, and only a removal that
+        takes the current maximum makes the next call recompute it, in
+        O(num_lists) — peeking one (live) tail per partition — instead of
+        a scan of the whole candidate set; this is exactly the point of
         the Section VII organization.
         """
-        best = 0.0
-        for partition in self._partitions:
-            self._trim_partition_back(partition)
-            if partition:
-                tail = partition[-1]
-                if tail.length > best:
-                    best = tail.length
+        best = self._max_length
+        if best is None:
+            best = 0.0
+            for partition in self._partitions:
+                self._trim_partition_back(partition)
+                if partition:
+                    tail = partition[-1]
+                    if tail.length > best:
+                        best = tail.length
+            self._max_length = best
         return best
 
     def prune_back(self, is_dead: Callable[[Candidate], bool]) -> int:
@@ -177,7 +196,8 @@ class PartitionedCandidateSet:
                 tail = partition[-1]
                 if is_dead(tail):
                     partition.pop()
-                    self._by_id.pop(tail.set_id, None)
+                    del self._by_id[tail.set_id]
+                    self._forget(tail)
                     removed += 1
                 else:
                     break

@@ -22,9 +22,10 @@ decision.  Section VII's special organization makes that cheap and is
 implemented in
 :class:`~repro.algorithms.candidates.PartitionedCandidateSet`: one
 length-sorted candidate list per inverted list (append-only by construction)
-plus a hash table; ``max_len(C)`` is the max over the partition tails
-(O(#lists)) and provably-dead candidates are dropped from the partition
-backs, where the length-monotone best-case bound is weakest.
+plus a hash table; ``max_len(C)`` is a running value, recomputed over the
+partition tails (O(#lists)) only when a removal takes it, and provably-dead
+candidates are dropped from the partition backs, where the length-monotone
+best-case bound is weakest.
 
 Hybrid is :class:`~repro.algorithms.inra.INRA` with full candidate scans
 and three hooks overridden: the candidate set, the depth cutoff and the
@@ -68,8 +69,8 @@ class Hybrid(INRA):
             # SF's stop condition, head > min(hi, max(max_len(C), Λ)),
             # applied per list in round-robin; RoundRobin tests hi.  Λ is
             # the max length of a still-admissible new candidate, assuming
-            # it appears in every open list.  The O(lists) max_len(C) is
-            # asked only past Λ.
+            # it appears in every open list.  max_len(C) is asked only
+            # past Λ.
             return (
                 head > rr.open_idf_squared / scale
                 and head > candidates.max_length()

@@ -12,6 +12,9 @@ The paper's experiments store one *word* per set (each word decomposed into
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from typing import (
     Any,
     Callable,
@@ -113,8 +116,18 @@ class SetCollection:
             raise ConfigurationError("collection is frozen; cannot add")
         return self._append(tokens, payload)
 
+    def add_counts(self, counts: Dict[str, int], payload: Any = None) -> int:
+        """Append one set given as token counts (its multiset view, as
+        :mod:`repro.storage.persist` stores it); returns its id.  The dict
+        becomes the record's ``counts``; every count must be positive."""
+        if self._frozen:
+            raise ConfigurationError("collection is frozen; cannot add")
+        return self._append_counts(counts, payload)
+
     def _append(self, tokens: Sequence[str], payload: Any) -> int:
-        counts = tf_counts(list(tokens))
+        return self._append_counts(tf_counts(list(tokens)), payload)
+
+    def _append_counts(self, counts: Dict[str, int], payload: Any) -> int:
         rec = SetRecord(
             set_id=len(self._records),
             tokens=frozenset(counts),
@@ -190,8 +203,19 @@ class SetCollection:
         self._require_frozen()
         if self._lengths is None:
             stats = self.stats
+            idf_squared = {t: stats.idf_squared(t) for t in stats.tokens()}
+            # normalized_length's sum with each idf² computed once: plain
+            # float adds from 0.0 in sorted-token order, so the same bits.
+            # Not sum(), which compensates float sums from Python 3.12 on.
             self._lengths = [
-                stats.length(rec.tokens) for rec in self._records
+                math.sqrt(
+                    functools.reduce(
+                        operator.add,
+                        map(idf_squared.__getitem__, sorted(rec.tokens)),
+                        0.0,
+                    )
+                )
+                for rec in self._records
             ]
         return self._lengths
 

@@ -27,9 +27,21 @@ trusting CPython wall-clock (see the module docstring of
 from __future__ import annotations
 
 import bisect
+import contextlib
 import copy
+import gc
 import threading
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..contracts import (
     CHECKS,
@@ -58,6 +70,35 @@ and finishes with a short sequential walk.
 DEFAULT_HASH_BUCKET_CAPACITY = 16
 
 _PUBLISH_LOCK = threading.Lock()
+
+_GC_LOCK = threading.Lock()
+_gc_pauses = 0
+_gc_resume = False
+
+
+@contextlib.contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause CPython's cyclic garbage collector for a bulk build.
+
+    A build allocates about one tuple per posting, none of them part of a
+    cycle, and the collector would walk that growing heap again and again.
+    Nested and concurrent pauses share one pause: the first saves the
+    caller's ``gc.isenabled()`` state and the last restores it, also when
+    the body raises.
+    """
+    global _gc_pauses, _gc_resume
+    with _GC_LOCK:
+        if _gc_pauses == 0:
+            _gc_resume = gc.isenabled()
+            gc.disable()
+        _gc_pauses += 1
+    try:
+        yield
+    finally:
+        with _GC_LOCK:
+            _gc_pauses -= 1
+            if _gc_pauses == 0 and _gc_resume:
+                gc.enable()
 
 
 class TokenPostings:
@@ -221,6 +262,37 @@ def _publish(
     return value
 
 
+def _holders(collection: SetCollection) -> Dict[str, List[int]]:
+    """The ids of the sets that hold each token, in increasing order."""
+    holders: Dict[str, List[int]] = {}
+    for rec in collection:
+        set_id = rec.set_id
+        for token in rec.tokens:
+            ids = holders.get(token)
+            if ids is None:
+                holders[token] = [set_id]
+            else:
+                ids.append(set_id)
+    return holders
+
+
+def _set_postings(collection: SetCollection) -> List[Tuple[float, int]]:
+    """Each set's ``(length, set_id)`` posting, indexed by set id; every
+    list holding the set shares the one tuple."""
+    return list(zip(collection.lengths(), range(len(collection))))
+
+
+def _weight_ordered_lists(
+    collection: SetCollection,
+) -> Iterator[Tuple[str, List[Tuple[float, int]]]]:
+    """Each token's postings, sorted by ``(length, set_id)``."""
+    posting_of = _set_postings(collection).__getitem__
+    for token, ids in _holders(collection).items():
+        entries = list(map(posting_of, ids))
+        entries.sort()
+        yield token, entries
+
+
 class InvertedIndex:
     """The full per-token index over a frozen :class:`SetCollection`.
 
@@ -252,17 +324,36 @@ class InvertedIndex:
         self.skiplist_max_bytes = skiplist_max_bytes
         self.skiplist_stride = skiplist_stride
         self.hash_bucket_capacity = hash_bucket_capacity
-        lengths = collection.lengths()
-
-        # Bucket postings per token, then sort each once.
-        per_token: Dict[str, List[Tuple[float, int]]] = {}
-        for rec in collection:
-            length = lengths[rec.set_id]
-            for token in rec.tokens:
-                per_token.setdefault(token, []).append((length, rec.set_id))
         self._postings: Dict[str, TokenPostings] = {}
-        for token, entries in per_token.items():
-            entries.sort()
+        with _gc_paused():
+            self._add_lists(_weight_ordered_lists(collection))
+
+    @classmethod
+    def from_lists(
+        cls,
+        collection: SetCollection,
+        lists: Iterable[Tuple[str, List[Tuple[float, int]]]],
+        **options: Any,
+    ) -> "InvertedIndex":
+        """An index over ``collection`` whose weight-ordered lists are
+        ``lists``: ``(token, entries)`` pairs sorted by ``(len, id)``.
+
+        Nothing is bucketed or sorted: this is the load path, and the
+        caller vouches that ``lists`` are what a build of ``collection``
+        would make.  ``options`` are the constructor's.
+        """
+        # An empty index with these options, then the given lists.
+        index = cls(SetCollection().freeze(), **options)
+        index.collection = collection
+        index.num_sets = len(collection)
+        with _gc_paused():
+            index._add_lists(lists)
+        return index
+
+    def _add_lists(
+        self, lists: Iterable[Tuple[str, List[Tuple[float, int]]]]
+    ) -> None:
+        for token, entries in lists:
             self._postings[token] = self._build_postings(token, entries)
 
     def _build_postings(

@@ -8,11 +8,15 @@ either the old or the new index state, never corrupt (simulated and
 asserted by ``tests/test_recovery.py`` through the :mod:`repro.faults`
 layer).
 
-A load re-parses ``collection.jsonl`` (stored token counts, so nothing
-is re-tokenized), rebuilds the weight-ordered lists and skip lists from
-it, and then cross-checks the rebuild against ``postings.bin``.  Hash
-indexes and id-ordered lists are not stored; the loaded index builds
-them on first use, like a fresh one.
+A load parses ``collection.jsonl`` (stored token counts, so nothing is
+re-tokenized) and takes the weight-ordered lists from ``postings.bin``
+as they are stored, building only their skip lists.  A linear
+cross-check first proves the stored lists are the ones a build of the
+collection would make: each strictly increases by ``(len, id)``, holds
+exactly the sets that contain its token, and stores each set's length
+bit for bit; no token is stored twice or left out.  Hash indexes and
+id-ordered lists are not stored; the loaded index builds them on first
+use, like a fresh one.
 
 Generation layout (format version 2)::
 
@@ -29,7 +33,7 @@ data that was not flushed), promotes the temp directory with a rename,
 and finally flips ``CURRENT`` via atomic ``os.replace``.  Readers see
 the old generation until that final rename.
 
-Loading verifies manifest → checksums → postings-vs-collection; any
+Loading verifies manifest → checksums → collection → postings; any
 damage is attributed to a specific component in a structured
 :class:`RecoveryReport`.  When the current generation is damaged the
 loader quarantines it (rename to ``<gen>.corrupt``) and falls back to
@@ -45,24 +49,27 @@ writes it any more.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import operator
 import os
 import shutil
 import struct
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..core.collection import SetCollection
 from ..core.errors import CorruptIndexError, StorageError
 from ..core.search import SetSimilaritySearcher
 from ..faults import runtime as faults_runtime
-from .invlist import InvertedIndex
+from .invlist import InvertedIndex, _gc_paused, _holders, _set_postings
 
 FORMAT_VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
 
 _POSTING = struct.Struct("<dQ")
 _COUNT = struct.Struct("<I")
+_SECOND = operator.itemgetter(1)
 
 _CURRENT = "CURRENT"
 _GEN_PREFIX = "gen-"
@@ -187,17 +194,17 @@ def _read_file(path: Path, site: str) -> bytes:
 # serialization
 # ----------------------------------------------------------------------
 def _collection_bytes(collection: SetCollection) -> bytes:
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     lines = []
     for rec in collection:
         try:
             lines.append(
-                json.dumps(
+                encode(
                     {
                         "tokens": sorted(rec.tokens),
                         "counts": rec.counts,
                         "payload": rec.payload,
-                    },
-                    ensure_ascii=False,
+                    }
                 )
             )
         except TypeError as exc:
@@ -215,24 +222,21 @@ def _postings_bytes(index) -> Tuple[bytes, int]:
         encoded = token.encode("utf-8")
         chunks.append(_COUNT.pack(len(encoded)))
         chunks.append(encoded)
-        cursor = index.cursor(token)
-        entries = []
-        while not cursor.exhausted():
-            entries.append(cursor.next())
+        entries = index.postings(token)
         chunks.append(_COUNT.pack(len(entries)))
-        for length, set_id in entries:
-            chunks.append(_POSTING.pack(length, set_id))
+        chunks.extend(itertools.starmap(_POSTING.pack, entries))
         num_postings += len(entries)
     return b"".join(chunks), num_postings
 
 
 def _stored_index(index: InvertedIndex) -> InvertedIndex:
-    """The index whose postings a load of ``index.collection`` rebuilds.
+    """The index whose postings a build of ``index.collection`` makes.
 
-    A load computes statistics over every stored set.  An updatable
-    searcher scores the sets inserted since its last rebuild under older
-    statistics, so their stored lengths would fail the load's cross-check:
-    such an index is stored as the rebuild the load will make.
+    A load computes statistics over every stored set and accepts only the
+    postings a build under them would hold.  An updatable searcher scores
+    the sets inserted since its last rebuild under older statistics, so
+    their stored lengths would fail the load's cross-check: such an index
+    is stored as a fresh build of its collection.
     """
     collection = index.collection
     if collection.stats.num_sets == len(collection):
@@ -547,12 +551,13 @@ def _load_generation(gen_dir: Path) -> SetSimilaritySearcher:
                     f"{expected[:12]}…, file hashes to {actual[:12]}…",
                 )
 
-    collection = _parse_collection(collection_data, manifest)
-    searcher = SetSimilaritySearcher(
-        collection, with_skip_lists=manifest["with_skip_lists"]
-    )
-    _verify_postings(searcher, postings_data, manifest)
-    return searcher
+    with _gc_paused():
+        collection = _parse_collection(collection_data, manifest)
+        lists = _stored_lists(postings_data, collection, manifest)
+        index = InvertedIndex.from_lists(
+            collection, lists, with_skip_lists=manifest["with_skip_lists"]
+        )
+    return SetSimilaritySearcher.from_index(index)
 
 
 def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
@@ -568,14 +573,21 @@ def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
             continue
         try:
             record = json.loads(line)
-            tokens = []
-            for token, count in record["counts"].items():
-                tokens.extend([token] * count)
-            collection.add(tokens, payload=record["payload"])
+            counts = record["counts"]
+            payload = record["payload"]
+            values = counts.values()
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise _ComponentFailure(
                 "collection", f"line {lineno} does not parse: {exc}"
             ) from None
+        for count in values:
+            if type(count) is not int or count < 1:
+                raise _ComponentFailure(
+                    "collection",
+                    f"line {lineno} holds count {count!r}, not a positive "
+                    "integer",
+                )
+        collection.add_counts(counts, payload)
     collection.freeze()
     if len(collection) != manifest["num_sets"]:
         raise _ComponentFailure(
@@ -586,71 +598,93 @@ def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
     return collection
 
 
-def _verify_postings(
-    searcher: SetSimilaritySearcher, data: bytes, manifest: Dict[str, Any]
-) -> None:
+def _frames(data: bytes) -> Iterator[Tuple[str, List[Tuple[float, int]]]]:
+    """Each ``(token, stored postings)`` frame of ``postings.bin``."""
+    view = memoryview(data)
+    offset = 0
     try:
-        _verify_postings_inner(searcher, data, manifest)
-    except (struct.error, UnicodeDecodeError, IndexError) as exc:
+        while offset < len(data):
+            (size,) = _COUNT.unpack_from(data, offset)
+            offset += _COUNT.size
+            token = str(view[offset : offset + size], "utf-8")
+            offset += size
+            (count,) = _COUNT.unpack_from(data, offset)
+            offset += _COUNT.size
+            end = offset + count * _POSTING.size
+            if end > len(data):
+                raise _ComponentFailure(
+                    "postings", f"list for {token!r} is truncated"
+                )
+            yield token, list(_POSTING.iter_unpack(view[offset:end]))
+            offset = end
+    except (struct.error, UnicodeDecodeError) as exc:
         # Corrupted framing: counts or token bytes no longer parse.
         raise _ComponentFailure(
             "postings", f"postings.bin is corrupt: {exc}"
         ) from None
 
 
-def _verify_postings_inner(
-    searcher: SetSimilaritySearcher, data: bytes, manifest: Dict[str, Any]
-) -> None:
-    offset = 0
-    tokens_seen = 0
-    postings_seen = 0
-    index = searcher.index
-    while offset < len(data):
-        (token_len,) = _COUNT.unpack_from(data, offset)
-        offset += _COUNT.size
-        token = data[offset : offset + token_len].decode("utf-8")
-        if len(token.encode("utf-8")) != token_len:
+def _stored_lists(
+    data: bytes, collection: SetCollection, manifest: Dict[str, Any]
+) -> List[Tuple[str, List[Tuple[float, int]]]]:
+    """The lists of ``postings.bin``, as a build of ``collection`` makes
+    them; ``postings`` damage if a build would not reproduce them.
+
+    Linear: one pass over the collection and one over the file, and no
+    posting list is sorted.
+    """
+    # What a build puts in each list: these ids, sorted by these postings.
+    holders = _holders(collection)
+    posting_of = _set_postings(collection).__getitem__
+    lists: Dict[str, List[Tuple[float, int]]] = {}
+    num_postings = 0
+    for token, stored in _frames(data):
+        if token in lists:
             raise _ComponentFailure(
-                "postings", f"truncated token frame at offset {offset}"
+                "postings", f"list for {token!r} is stored twice"
             )
-        offset += token_len
-        (count,) = _COUNT.unpack_from(data, offset)
-        offset += _COUNT.size
-        cursor = index.cursor(token)
-        if cursor is None:
+        expected = holders.pop(token, None)
+        if expected is None:
             raise _ComponentFailure(
-                "postings", f"stored token {token!r} missing from rebuilt index"
+                "postings", f"stored token {token!r} is in no stored set"
             )
-        for _ in range(count):
-            length, set_id = _POSTING.unpack_from(data, offset)
-            offset += _POSTING.size
-            if cursor.exhausted():
-                raise _ComponentFailure(
-                    "postings",
-                    f"list for {token!r} shorter than stored postings",
-                )
-            got_length, got_id = cursor.next()
-            if got_id != set_id or abs(got_length - length) > 1e-9:
-                raise _ComponentFailure(
-                    "postings",
-                    f"posting mismatch for {token!r}: stored "
-                    f"({length}, {set_id}), rebuilt ({got_length}, {got_id})",
-                )
-        if not cursor.exhausted():
+        if not all(map(operator.lt, stored, itertools.islice(stored, 1, None))):
             raise _ComponentFailure(
-                "postings", f"list for {token!r} longer than stored postings"
+                "postings",
+                f"list for {token!r} does not strictly increase by (len, id)",
             )
-        tokens_seen += 1
-        postings_seen += count
-    if tokens_seen != manifest["num_tokens"]:
+        ids = list(map(_SECOND, stored))
+        if sorted(ids) != expected:
+            raise _ComponentFailure(
+                "postings",
+                f"list for {token!r} does not hold the sets that contain it",
+            )
+        # Equal to the stored postings only if every length is bit-equal.
+        entries = list(map(posting_of, ids))
+        if entries != stored:
+            raise _ComponentFailure(
+                "postings",
+                f"list for {token!r} stores a length that differs from "
+                "the collection's",
+            )
+        lists[token] = entries
+        num_postings += len(entries)
+    if holders:
         raise _ComponentFailure(
             "postings",
-            f"holds {tokens_seen} tokens, manifest says "
+            f"no list stored for {len(holders)} tokens of the collection, "
+            f"e.g. {min(holders)!r}",
+        )
+    if len(lists) != manifest["num_tokens"]:
+        raise _ComponentFailure(
+            "postings",
+            f"holds {len(lists)} tokens, manifest says "
             f"{manifest['num_tokens']}",
         )
-    if postings_seen != manifest["num_postings"]:
+    if num_postings != manifest["num_postings"]:
         raise _ComponentFailure(
             "postings",
-            f"holds {postings_seen} postings, manifest says "
+            f"holds {num_postings} postings, manifest says "
             f"{manifest['num_postings']}",
         )
+    return list(lists.items())

@@ -24,6 +24,8 @@ tower) when the full structure would exceed it.
 from __future__ import annotations
 
 import bisect
+import itertools
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 from ..contracts import CHECKS, ContractViolation
@@ -63,11 +65,13 @@ class SkipList:
     ) -> None:
         if stride < 1:
             raise StorageError("stride must be >= 1")
-        for i in range(1, len(keys)):
-            if keys[i - 1] > keys[i]:
-                raise StorageError(
-                    f"keys must be sorted; violation at position {i}"
-                )
+        if not all(map(operator.le, keys, itertools.islice(keys, 1, None))):
+            i = next(
+                i for i in range(1, len(keys)) if keys[i - 1] > keys[i]
+            )
+            raise StorageError(
+                f"keys must be sorted; violation at position {i}"
+            )
         self._n = len(keys)
         self._stride = stride
         # Thin to satisfy the byte budget: keep every stride-th key.
@@ -78,7 +82,7 @@ class SkipList:
                 stride *= 2
             self._stride = stride
         self._positions: List[int] = list(range(0, len(keys), self._stride))
-        self._keys: List[Tuple[float, int]] = [keys[p] for p in self._positions]
+        self._keys: List[Tuple[float, int]] = list(keys[:: self._stride])
         # levels[h] holds indices (into self._keys) of towers of height > h.
         self._levels: List[List[int]] = []
         if self._keys:

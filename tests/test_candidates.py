@@ -1,6 +1,8 @@
 """Direct unit tests for the candidate-set data structures."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.candidates import (
     Candidate,
@@ -125,3 +127,31 @@ class TestPartitionedCandidateSet:
         cs = self._make()
         assert 3 in cs
         assert len(cs) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "remove", "prune"]),
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=12),
+            ),
+            max_size=60,
+        )
+    )
+    def test_running_max_length_matches_live_candidates(self, ops):
+        cs = PartitionedCandidateSet(3)
+        next_id = 0
+        # Each partition receives increasing lengths, as list order gives.
+        floor = [0.0, 0.0, 0.0]
+        for op, part, value in ops:
+            if op == "add":
+                floor[part] += value / 4
+                cs.add(Candidate(next_id, floor[part]), part)
+                next_id += 1
+            elif op == "remove":
+                cs.remove(value)
+            elif op == "prune":
+                cs.prune_back(lambda c, cut=value / 2: c.length > cut)
+            live = [c.length for c in cs]
+            assert cs.max_length() == (max(live) if live else 0.0)
