@@ -61,13 +61,6 @@ class SetSimilaritySearcher:
     ) -> None:
         self.index = InvertedIndex(collection, **index_options)
 
-    @classmethod
-    def from_index(cls, index: InvertedIndex) -> "SetSimilaritySearcher":
-        """A searcher over an index built elsewhere (a loaded one)."""
-        searcher = cls.__new__(cls)
-        searcher.index = index
-        return searcher
-
     @property
     def collection(self) -> SetCollection:
         return self.index.collection

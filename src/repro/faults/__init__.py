@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection (rank-0 layer, next to ``obs``).
 
 Fault *points* are named call sites in storage and service hot paths
-(``"storage.read_page"``, ``"persist.write_postings"``,
+(``"storage.read_page"``, ``"persist.write_collection"``,
 ``"service.execute"``, ...).  A *plan* — parsed from the
 ``REPRO_FAULTS`` environment variable or scoped with
 :func:`use_fault_plan` — decides, from a seeded PRNG, which points

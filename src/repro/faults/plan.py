@@ -27,7 +27,7 @@ the ``REPRO_FAULTS`` environment variable and
 Examples::
 
     seed=42;storage.read_page:transient:p=0.05
-    persist.write_postings:torn:after=1;persist.fsync:latency:ms=2
+    persist.write_collection:torn:after=1;persist.fsync:latency:ms=2
     persist.read_*:flip:p=0.01:bytes=3:count=1
 
 Determinism: every trigger decision draws from one

@@ -262,33 +262,22 @@ def _publish(
     return value
 
 
-def _holders(collection: SetCollection) -> Dict[str, List[int]]:
-    """The ids of the sets that hold each token, in increasing order."""
-    holders: Dict[str, List[int]] = {}
-    for rec in collection:
-        set_id = rec.set_id
-        for token in rec.tokens:
-            ids = holders.get(token)
-            if ids is None:
-                holders[token] = [set_id]
-            else:
-                ids.append(set_id)
-    return holders
-
-
-def _set_postings(collection: SetCollection) -> List[Tuple[float, int]]:
-    """Each set's ``(length, set_id)`` posting, indexed by set id; every
-    list holding the set shares the one tuple."""
-    return list(zip(collection.lengths(), range(len(collection))))
-
-
 def _weight_ordered_lists(
     collection: SetCollection,
 ) -> Iterator[Tuple[str, List[Tuple[float, int]]]]:
-    """Each token's postings, sorted by ``(length, set_id)``."""
-    posting_of = _set_postings(collection).__getitem__
-    for token, ids in _holders(collection).items():
-        entries = list(map(posting_of, ids))
+    """Each token's postings, sorted by ``(length, set_id)``; every list
+    holding a set shares the set's one posting tuple."""
+    lengths = collection.lengths()
+    lists: Dict[str, List[Tuple[float, int]]] = {}
+    for rec in collection:
+        posting = (lengths[rec.set_id], rec.set_id)
+        for token in rec.tokens:
+            entries = lists.get(token)
+            if entries is None:
+                lists[token] = [posting]
+            else:
+                entries.append(posting)
+    for token, entries in lists.items():
         entries.sort()
         yield token, entries
 
@@ -326,35 +315,8 @@ class InvertedIndex:
         self.hash_bucket_capacity = hash_bucket_capacity
         self._postings: Dict[str, TokenPostings] = {}
         with _gc_paused():
-            self._add_lists(_weight_ordered_lists(collection))
-
-    @classmethod
-    def from_lists(
-        cls,
-        collection: SetCollection,
-        lists: Iterable[Tuple[str, List[Tuple[float, int]]]],
-        **options: Any,
-    ) -> "InvertedIndex":
-        """An index over ``collection`` whose weight-ordered lists are
-        ``lists``: ``(token, entries)`` pairs sorted by ``(len, id)``.
-
-        Nothing is bucketed or sorted: this is the load path, and the
-        caller vouches that ``lists`` are what a build of ``collection``
-        would make.  ``options`` are the constructor's.
-        """
-        # An empty index with these options, then the given lists.
-        index = cls(SetCollection().freeze(), **options)
-        index.collection = collection
-        index.num_sets = len(collection)
-        with _gc_paused():
-            index._add_lists(lists)
-        return index
-
-    def _add_lists(
-        self, lists: Iterable[Tuple[str, List[Tuple[float, int]]]]
-    ) -> None:
-        for token, entries in lists:
-            self._postings[token] = self._build_postings(token, entries)
+            for token, entries in _weight_ordered_lists(collection):
+                self._postings[token] = self._build_postings(token, entries)
 
     def _build_postings(
         self, token: str, entries: List[Tuple[float, int]]

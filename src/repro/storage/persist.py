@@ -8,24 +8,22 @@ either the old or the new index state, never corrupt (simulated and
 asserted by ``tests/test_recovery.py`` through the :mod:`repro.faults`
 layer).
 
-A load parses ``collection.jsonl`` (stored token counts, so nothing is
-re-tokenized) and takes the weight-ordered lists from ``postings.bin``
-as they are stored, building only their skip lists.  A linear
-cross-check first proves the stored lists are the ones a build of the
-collection would make: each strictly increases by ``(len, id)``, holds
-exactly the sets that contain its token, and stores each set's length
-bit for bit; no token is stored twice or left out.  Hash indexes and
-id-ordered lists are not stored; the loaded index builds them on first
-use, like a fresh one.
+A saved generation holds only the collection.  The weight-ordered lists
+are a pure function of it (each token's holders sorted by ``(len, id)``
+under the collection's IDF statistics), so a load parses
+``collection.jsonl`` (stored token counts, so nothing is re-tokenized)
+and builds the index from it.  Storing the lists would save a load no
+time: decoding them and proving them equal to a build costs about what
+the build does.  Hash indexes and id-ordered lists are built on first
+use, like in any fresh index.
 
-Generation layout (format version 2)::
+Generation layout (format version 3)::
 
     index-dir/
       CURRENT              # text: name of the live generation
       gen-000001/
-        manifest.json      # version, flags, counts, per-file sha256
+        manifest.json      # version, skip-list flag, counts, sha256
         collection.jsonl   # one JSON object per set, in id order
-        postings.bin       # framed weight-ordered postings per token
 
 A save writes a fresh generation into a hidden temp directory, fsyncs
 every file, writes the manifest *last* (so a manifest can never name
@@ -33,17 +31,21 @@ data that was not flushed), promotes the temp directory with a rename,
 and finally flips ``CURRENT`` via atomic ``os.replace``.  Readers see
 the old generation until that final rename.
 
-Loading verifies manifest → checksums → collection → postings; any
-damage is attributed to a specific component in a structured
+Loading verifies manifest → checksum → collection → the built index's
+counts; any damage is attributed to a specific component in a structured
 :class:`RecoveryReport`.  When the current generation is damaged the
 loader quarantines it (rename to ``<gen>.corrupt``) and falls back to
 the newest intact generation; only when *no* generation survives does
 it raise :class:`~repro.core.errors.CorruptIndexError` carrying the
 report.
 
-The flat single-directory layout of format version 1
-(``manifest.json`` + data files at top level) is still read; nothing
-writes it any more.
+Format 2 generations and the flat single-directory layout of format 1
+(``manifest.json`` + data files at top level) are still read; nothing
+writes them any more.  They also hold ``postings.bin``, the lists as
+they were stored then: a load builds the index from the collection as
+above and accepts the directory only if that file is byte for byte what
+the build encodes, so a stored list a build would not reproduce is
+``postings`` damage, checksum or not.
 """
 
 from __future__ import annotations
@@ -51,25 +53,23 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import operator
 import os
 import shutil
 import struct
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core.collection import SetCollection
 from ..core.errors import CorruptIndexError, StorageError
 from ..core.search import SetSimilaritySearcher
 from ..faults import runtime as faults_runtime
-from .invlist import InvertedIndex, _gc_paused, _holders, _set_postings
+from .invlist import InvertedIndex, _gc_paused
 
-FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+SUPPORTED_VERSIONS = (1, 2, 3)
 
 _POSTING = struct.Struct("<dQ")
 _COUNT = struct.Struct("<I")
-_SECOND = operator.itemgetter(1)
 
 _CURRENT = "CURRENT"
 _GEN_PREFIX = "gen-"
@@ -215,9 +215,11 @@ def _collection_bytes(collection: SetCollection) -> bytes:
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
-def _postings_bytes(index) -> Tuple[bytes, int]:
+def _postings_bytes(index: InvertedIndex) -> bytes:
+    """``postings.bin`` as formats 1 and 2 stored it for ``index``: per
+    token, in sorted order, its UTF-8 name and its ``(len, id)`` list,
+    each behind a ``<I`` count."""
     chunks = []
-    num_postings = 0
     for token in sorted(index.tokens()):
         encoded = token.encode("utf-8")
         chunks.append(_COUNT.pack(len(encoded)))
@@ -225,69 +227,35 @@ def _postings_bytes(index) -> Tuple[bytes, int]:
         entries = index.postings(token)
         chunks.append(_COUNT.pack(len(entries)))
         chunks.extend(itertools.starmap(_POSTING.pack, entries))
-        num_postings += len(entries)
-    return b"".join(chunks), num_postings
+    return b"".join(chunks)
 
 
-def _stored_index(index: InvertedIndex) -> InvertedIndex:
-    """The index whose postings a build of ``index.collection`` makes.
-
-    A load computes statistics over every stored set and accepts only the
-    postings a build under them would hold.  An updatable searcher scores
-    the sets inserted since its last rebuild under older statistics, so
-    their stored lengths would fail the load's cross-check: such an index
-    is stored as a fresh build of its collection.
-    """
-    collection = index.collection
-    if collection.stats.num_sets == len(collection):
-        return index
-    rebuilt = SetCollection.from_token_sets(rec.tokens for rec in collection)
-    return InvertedIndex(rebuilt, with_skip_lists=False)
-
-
-def _build_manifest(
-    searcher: SetSimilaritySearcher,
-    num_postings: int,
-    checksums: Dict[str, str],
-) -> Dict[str, Any]:
-    index = searcher.index
+def _counts(index: InvertedIndex) -> Dict[str, int]:
+    """The index shape the manifest records and a load checks."""
     return {
-        "format_version": FORMAT_VERSION,
-        "num_sets": len(searcher.collection),
-        "num_tokens": len(list(index.tokens())),
-        "num_postings": num_postings,
-        # Always true: both are built on first use.  Written for loaders
-        # that still read them; this one ignores them.
-        "with_id_lists": True,
-        "with_skip_lists": index.with_skip_lists,
-        "with_hash_index": True,
-        "checksums": checksums,
+        "num_tokens": len(index.tokens()),
+        "num_postings": index.num_postings(),
     }
 
 
 def _write_payload_files(directory: Path, searcher) -> Dict[str, Any]:
-    """Write data files first (fsynced), then the manifest naming them.
+    """Write the collection first (fsynced), then the manifest naming it.
 
     The ordering is the point: a manifest must never name bytes that
     were not flushed, so a crash between the two leaves a directory
     whose manifest (old or absent) matches what is actually on disk.
     """
     collection_data = _collection_bytes(searcher.collection)
-    postings_data, num_postings = _postings_bytes(_stored_index(searcher.index))
     _write_file(
         directory / COLLECTION_FILE, collection_data, "persist.write_collection"
     )
-    _write_file(
-        directory / POSTINGS_FILE, postings_data, "persist.write_postings"
-    )
-    manifest = _build_manifest(
-        searcher,
-        num_postings,
-        {
-            COLLECTION_FILE: _sha256(collection_data),
-            POSTINGS_FILE: _sha256(postings_data),
-        },
-    )
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "num_sets": len(searcher.collection),
+        **_counts(searcher.index),
+        "with_skip_lists": searcher.index.with_skip_lists,
+        "checksums": {COLLECTION_FILE: _sha256(collection_data)},
+    }
     _write_file(
         directory / MANIFEST_FILE,
         json.dumps(manifest, indent=2).encode("utf-8"),
@@ -508,7 +476,8 @@ def _load_generation(gen_dir: Path) -> SetSimilaritySearcher:
     if not isinstance(manifest, dict):
         raise _ComponentFailure("manifest", "manifest.json is not an object")
     version = manifest.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
+    # ``True == 1``: without the type test a flag would pass as format 1.
+    if type(version) is not int or version not in SUPPORTED_VERSIONS:
         raise _ComponentFailure(
             "manifest", f"unsupported format version {version!r}"
         )
@@ -521,43 +490,52 @@ def _load_generation(gen_dir: Path) -> SetSimilaritySearcher:
         )
 
     collection_path = gen_dir / COLLECTION_FILE
-    postings_path = gen_dir / POSTINGS_FILE
     if not collection_path.exists():
         raise _ComponentFailure("collection", "collection.jsonl is missing")
-    if not postings_path.exists():
-        raise _ComponentFailure("postings", "postings.bin is missing")
     collection_data = _read_file(collection_path, "persist.read_collection")
-    postings_data = _read_file(postings_path, "persist.read_postings")
 
     checksums = manifest.get("checksums")
-    if checksums:
-        for name, data in (
-            (COLLECTION_FILE, collection_data),
-            (POSTINGS_FILE, postings_data),
-        ):
-            expected = checksums.get(name)
-            if expected is None:
-                raise _ComponentFailure(
-                    "manifest", f"no checksum recorded for {name}"
-                )
-            actual = _sha256(data)
-            if actual != expected:
-                component = (
-                    "collection" if name == COLLECTION_FILE else "postings"
-                )
-                raise _ComponentFailure(
-                    component,
-                    f"checksum mismatch for {name}: manifest says "
-                    f"{expected[:12]}…, file hashes to {actual[:12]}…",
-                )
+    if not isinstance(checksums, dict):
+        checksums = {}
+    expected = checksums.get(COLLECTION_FILE)
+    if expected is None:
+        # Format 1 wrote no checksums; from format 2 on one is required.
+        if version >= 2:
+            raise _ComponentFailure(
+                "manifest", f"no checksum recorded for {COLLECTION_FILE}"
+            )
+    else:
+        actual = _sha256(collection_data)
+        if actual != expected:
+            raise _ComponentFailure(
+                "collection",
+                f"checksum mismatch for {COLLECTION_FILE}: manifest says "
+                f"{expected[:12]}…, file hashes to {actual[:12]}…",
+            )
 
     with _gc_paused():
         collection = _parse_collection(collection_data, manifest)
-        lists = _stored_lists(postings_data, collection, manifest)
-        index = InvertedIndex.from_lists(
-            collection, lists, with_skip_lists=manifest["with_skip_lists"]
+        searcher = SetSimilaritySearcher(
+            collection, with_skip_lists=manifest["with_skip_lists"]
         )
-    return SetSimilaritySearcher.from_index(index)
+
+    postings_path = gen_dir / POSTINGS_FILE
+    if postings_path.exists():
+        stored = _read_file(postings_path, "persist.read_postings")
+        if stored != _postings_bytes(searcher.index):
+            raise _ComponentFailure(
+                "postings",
+                f"{POSTINGS_FILE} differs from the lists a build of the "
+                "collection makes",
+            )
+    for key, value in _counts(searcher.index).items():
+        if value != manifest[key]:
+            raise _ComponentFailure(
+                "manifest",
+                f"the built index has {key} = {value}, manifest says "
+                f"{manifest[key]}",
+            )
+    return searcher
 
 
 def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
@@ -596,95 +574,3 @@ def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
             f"{manifest['num_sets']}",
         )
     return collection
-
-
-def _frames(data: bytes) -> Iterator[Tuple[str, List[Tuple[float, int]]]]:
-    """Each ``(token, stored postings)`` frame of ``postings.bin``."""
-    view = memoryview(data)
-    offset = 0
-    try:
-        while offset < len(data):
-            (size,) = _COUNT.unpack_from(data, offset)
-            offset += _COUNT.size
-            token = str(view[offset : offset + size], "utf-8")
-            offset += size
-            (count,) = _COUNT.unpack_from(data, offset)
-            offset += _COUNT.size
-            end = offset + count * _POSTING.size
-            if end > len(data):
-                raise _ComponentFailure(
-                    "postings", f"list for {token!r} is truncated"
-                )
-            yield token, list(_POSTING.iter_unpack(view[offset:end]))
-            offset = end
-    except (struct.error, UnicodeDecodeError) as exc:
-        # Corrupted framing: counts or token bytes no longer parse.
-        raise _ComponentFailure(
-            "postings", f"postings.bin is corrupt: {exc}"
-        ) from None
-
-
-def _stored_lists(
-    data: bytes, collection: SetCollection, manifest: Dict[str, Any]
-) -> List[Tuple[str, List[Tuple[float, int]]]]:
-    """The lists of ``postings.bin``, as a build of ``collection`` makes
-    them; ``postings`` damage if a build would not reproduce them.
-
-    Linear: one pass over the collection and one over the file, and no
-    posting list is sorted.
-    """
-    # What a build puts in each list: these ids, sorted by these postings.
-    holders = _holders(collection)
-    posting_of = _set_postings(collection).__getitem__
-    lists: Dict[str, List[Tuple[float, int]]] = {}
-    num_postings = 0
-    for token, stored in _frames(data):
-        if token in lists:
-            raise _ComponentFailure(
-                "postings", f"list for {token!r} is stored twice"
-            )
-        expected = holders.pop(token, None)
-        if expected is None:
-            raise _ComponentFailure(
-                "postings", f"stored token {token!r} is in no stored set"
-            )
-        if not all(map(operator.lt, stored, itertools.islice(stored, 1, None))):
-            raise _ComponentFailure(
-                "postings",
-                f"list for {token!r} does not strictly increase by (len, id)",
-            )
-        ids = list(map(_SECOND, stored))
-        if sorted(ids) != expected:
-            raise _ComponentFailure(
-                "postings",
-                f"list for {token!r} does not hold the sets that contain it",
-            )
-        # Equal to the stored postings only if every length is bit-equal.
-        entries = list(map(posting_of, ids))
-        if entries != stored:
-            raise _ComponentFailure(
-                "postings",
-                f"list for {token!r} stores a length that differs from "
-                "the collection's",
-            )
-        lists[token] = entries
-        num_postings += len(entries)
-    if holders:
-        raise _ComponentFailure(
-            "postings",
-            f"no list stored for {len(holders)} tokens of the collection, "
-            f"e.g. {min(holders)!r}",
-        )
-    if len(lists) != manifest["num_tokens"]:
-        raise _ComponentFailure(
-            "postings",
-            f"holds {len(lists)} tokens, manifest says "
-            f"{manifest['num_tokens']}",
-        )
-    if num_postings != manifest["num_postings"]:
-        raise _ComponentFailure(
-            "postings",
-            f"holds {num_postings} postings, manifest says "
-            f"{manifest['num_postings']}",
-        )
-    return list(lists.items())

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import os
 import random
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +63,24 @@ def word_database():
 def word_searcher(word_database):
     collection, _words = word_database
     return SetSimilaritySearcher(collection)
+
+
+PERSIST_FIXTURES = Path(__file__).parent / "fixtures" / "persist"
+
+
+@pytest.fixture()
+def legacy_index(tmp_path):
+    """Copy a committed index directory of an older format into
+    ``tmp_path`` and return the copy: ``"v2"`` is a generational format-2
+    directory, ``"v1"`` a flat format-1 one (both hold ``postings.bin``;
+    see ``tests/fixtures/persist/README.md``)."""
+
+    def copy(name):
+        target = tmp_path / f"legacy-{name}"
+        shutil.copytree(PERSIST_FIXTURES / name, target)
+        return target
+
+    return copy
 
 
 @pytest.fixture()

@@ -1,12 +1,14 @@
-"""A load takes the stored lists instead of rebuilding them.
+"""A load builds the index from the saved collection.
 
 The contract: a loaded index is indistinguishable from a fresh build of
 the saved collection (records, skip-list landings and every ``IOStats``
-counter), and any ``postings.bin`` that a build would not reproduce is
-rejected as ``postings`` damage, also when its checksum is valid and
-also in a v1 flat directory, which has no checksums at all.  Bulk
-construction pauses the cyclic garbage collector and must always leave
-it as the caller had it.
+counter), also for the committed directories of formats 1 and 2.  Their
+``postings.bin`` must be exactly what that build encodes; any stored
+list a build would not reproduce is rejected as ``postings`` damage,
+also when its checksum is valid and also in a v1 flat directory, which
+has no checksums at all.  From format 2 on the collection's checksum is
+required.  Bulk construction pauses the cyclic garbage collector and
+must always leave it as the caller had it.
 """
 
 import gc
@@ -32,8 +34,7 @@ from repro import (
 )
 from repro.core.errors import CorruptIndexError
 from repro.core.weights import normalized_length
-from repro.storage import invlist, persist
-from repro.storage.invlist import InvertedIndex
+from repro.storage import invlist
 from repro.storage.pages import IOStats
 
 ALGORITHMS = ("sf", "inra", "hybrid", "ta", "sort-by-id")
@@ -53,7 +54,19 @@ token_sets = st.lists(
 # ----------------------------------------------------------------------
 def _frames(data):
     """``postings.bin`` as ``[(token, [(length, set_id), ...]), ...]``."""
-    return list(persist._frames(data))
+    frames = []
+    offset = 0
+    while offset < len(data):
+        (size,) = _COUNT.unpack_from(data, offset)
+        offset += _COUNT.size
+        token = data[offset : offset + size].decode("utf-8")
+        offset += size
+        (count,) = _COUNT.unpack_from(data, offset)
+        offset += _COUNT.size
+        end = offset + count * _POSTING.size
+        frames.append((token, list(_POSTING.iter_unpack(data[offset:end]))))
+        offset = end
+    return frames
 
 
 def _encode(frames):
@@ -96,7 +109,8 @@ def _query_ledgers(searcher, queries):
     return out
 
 
-def _assert_same_index(loaded, built, queries):
+def _assert_same_index(loaded_searcher, built_searcher, queries):
+    loaded, built = loaded_searcher.index, built_searcher.index
     assert sorted(loaded.tokens()) == sorted(built.tokens())
     for token in built.tokens():
         got, want = list(loaded.postings(token)), list(built.postings(token))
@@ -113,14 +127,13 @@ def _assert_same_index(loaded, built, queries):
                 a, b = IOStats(), IOStats()
                 assert skip_got.seek_ge(key, a) == skip_want.seek_ge(key, b)
                 assert a.snapshot() == b.snapshot()
-    assert _query_ledgers(
-        SetSimilaritySearcher.from_index(loaded), queries
-    ) == _query_ledgers(SetSimilaritySearcher.from_index(built), queries)
+    assert _query_ledgers(loaded_searcher, queries) == _query_ledgers(
+        built_searcher, queries
+    )
 
 
-def _queries(seed):
+def _queries(seed, vocab=tuple(f"t{i}" for i in range(14))):
     rng = random.Random(seed)
-    vocab = [f"t{i}" for i in range(14)]
     return [
         (rng.sample(vocab, rng.randint(1, 4)), rng.choice((0.3, 0.6, 0.9)))
         for _ in range(4)
@@ -148,69 +161,21 @@ class TestLoadedEqualsBuilt:
             page_capacity=page_capacity,
             skiplist_stride=stride,
         )
-        built = InvertedIndex(SetCollection.from_token_sets(sets), **options)
-        directory = tmp_path_factory.mktemp("cold") / "idx"
-        manifest = save_searcher(
-            SetSimilaritySearcher.from_index(built), directory
+        built = SetSimilaritySearcher(
+            SetCollection.from_token_sets(sets), **options
         )
-        queries = _queries(seed)
+        directory = tmp_path_factory.mktemp("cold") / "idx"
+        save_searcher(built, directory)
+        assert not (directory / "gen-000001" / "postings.bin").exists()
 
         # The public load: default layout, the saved skip-list flag.
         loaded = load_searcher(directory)
         assert loaded.recovery_report.clean
-        fresh = InvertedIndex(
+        fresh = SetSimilaritySearcher(
             SetCollection.from_token_sets(sets),
             with_skip_lists=with_skip_lists,
         )
-        _assert_same_index(loaded.index, fresh, queries)
-
-        # The load's own steps under the build's layout options.
-        generation = directory / "gen-000001"
-        collection = persist._parse_collection(
-            (generation / "collection.jsonl").read_bytes(), manifest
-        )
-        lists = persist._stored_lists(
-            (generation / "postings.bin").read_bytes(), collection, manifest
-        )
-        _assert_same_index(
-            InvertedIndex.from_lists(collection, lists, **options),
-            built,
-            queries,
-        )
-
-    def test_load_takes_no_build_path(self, tmp_path, searcher, monkeypatch):
-        save_searcher(searcher, tmp_path / "idx")
-        bucketed = []
-        real_bucketing = invlist._weight_ordered_lists
-
-        def bucketing(collection):
-            bucketed.append(len(collection))
-            return real_bucketing(collection)
-
-        stored = []
-        real_stored_lists = persist._stored_lists
-
-        def stored_lists(*args):
-            lists = real_stored_lists(*args)
-            stored.extend(entries for _token, entries in lists)
-            return lists
-
-        built = []
-        real_build = InvertedIndex._build_postings
-
-        def build_postings(self, token, entries):
-            built.append(entries)
-            return real_build(self, token, entries)
-
-        monkeypatch.setattr(invlist, "_weight_ordered_lists", bucketing)
-        monkeypatch.setattr(persist, "_stored_lists", stored_lists)
-        monkeypatch.setattr(InvertedIndex, "_build_postings", build_postings)
-        loaded = load_searcher(tmp_path / "idx")
-        # No set was bucketed into lists, and every list went to
-        # construction as the very object decoded in stored order.
-        assert sum(bucketed) == 0
-        assert len(built) == len(stored) == len(list(loaded.index.tokens()))
-        assert all(a is b for a, b in zip(built, stored))
+        _assert_same_index(loaded, fresh, _queries(seed))
 
     def test_pending_inserts_stay_loadable(self, tmp_path):
         from repro.core.updatable import UpdatableSearcher
@@ -220,7 +185,7 @@ class TestLoadedEqualsBuilt:
         save_searcher(live, tmp_path / "u")
         loaded = load_searcher(tmp_path / "u")
         live.rebuild()
-        _assert_same_index(loaded.index, live.index, _queries(3))
+        _assert_same_index(loaded, live, _queries(3))
 
 
 class TestBulkLengths:
@@ -304,18 +269,96 @@ CORPUS = [
 ]
 
 
+CORPUS_VOCAB = tuple(sorted({token for tokens in CORPUS for token in tokens}))
+
+
 def _corpus_searcher():
     return SetSimilaritySearcher(SetCollection.from_token_sets(CORPUS))
 
 
+def _two_generations(directory):
+    """Make a copy of the live generation current, keeping the original
+    as the fallback; return the new current generation."""
+    shutil.copytree(directory / "gen-000001", directory / "gen-000002")
+    (directory / "CURRENT").write_text("gen-000002\n")
+    return directory / "gen-000002"
+
+
+class TestLegacyFixtures:
+    @pytest.mark.parametrize("name", ["v2", "v1"])
+    def test_loads_clean_and_equals_fresh_build(self, legacy_index, name):
+        loaded = load_searcher(legacy_index(name))
+        report = loaded.recovery_report
+        assert report.clean
+        assert report.legacy is (name == "v1")
+        assert [rec.counts for rec in loaded.collection] == [
+            rec.counts for rec in _corpus_searcher().collection
+        ]
+        _assert_same_index(
+            loaded, _corpus_searcher(), _queries(5, CORPUS_VOCAB)
+        )
+
+
+class TestChecksumsRequired:
+    """From format 2 on, a manifest without the collection's checksum is
+    manifest damage, even when the collection itself looks fine."""
+
+    DAMAGE = {
+        "map-deleted": lambda checksums: None,
+        "map-empty": lambda checksums: {},
+        "entry-missing": lambda checksums: {
+            k: v for k, v in checksums.items() if k != "collection.jsonl"
+        },
+    }
+
+    @pytest.mark.parametrize("source", ["saved", "v2"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_generation_is_quarantined(
+        self, tmp_path, legacy_index, source, damage
+    ):
+        if source == "saved":
+            directory = tmp_path / "idx"
+            save_searcher(_corpus_searcher(), directory)
+        else:
+            directory = legacy_index("v2")
+        generation = _two_generations(directory)
+        # A tampered payload the missing checksum would have caught.
+        collection = generation / "collection.jsonl"
+        collection.write_text(
+            collection.read_text().replace('"payload": null', '"payload": 1', 1)
+        )
+        manifest_path = generation / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        checksums = self.DAMAGE[damage](manifest.pop("checksums"))
+        if checksums is not None:
+            manifest["checksums"] = checksums
+        manifest_path.write_text(json.dumps(manifest))
+
+        loaded = load_searcher(directory)
+        report = loaded.recovery_report
+        assert report.components() == ["manifest"]
+        assert report.quarantined == ["gen-000002.corrupt"]
+        assert report.loaded_generation == "gen-000001"
+        assert loaded.collection.payload(0) is None
+
+    def test_boolean_version_does_not_pass_as_format_1(self, tmp_path):
+        directory = tmp_path / "idx"
+        save_searcher(_corpus_searcher(), directory)
+        manifest_path = directory / "gen-000001" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format_version"] = True
+        del manifest["checksums"]
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(CorruptIndexError) as info:
+            load_searcher(directory)
+        assert info.value.report.components() == ["manifest"]
+
+
 class TestSemanticCorruption:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-    def test_generation_is_quarantined(self, tmp_path, name):
-        directory = tmp_path / "idx"
-        searcher = _corpus_searcher()
-        save_searcher(searcher, directory)
-        save_searcher(searcher, directory)
-        generation = directory / "gen-000002"
+    def test_generation_is_quarantined(self, legacy_index, name):
+        directory = legacy_index("v2")
+        generation = _two_generations(directory)
         frames = _frames((generation / "postings.bin").read_bytes())
         changes = CORRUPTIONS[name](frames, len(CORPUS))
         _rewrite(generation, frames, checksummed=True, **changes)
@@ -327,18 +370,8 @@ class TestSemanticCorruption:
         assert report.loaded_generation == "gen-000001"
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-    def test_v1_flat_directory_is_rejected(self, tmp_path, name):
-        directory = tmp_path / "flat"
-        save_searcher(_corpus_searcher(), directory)
-        generation = directory / "gen-000001"
-        for file_name in ("manifest.json", "collection.jsonl", "postings.bin"):
-            shutil.move(str(generation / file_name), str(directory / file_name))
-        generation.rmdir()
-        (directory / "CURRENT").unlink()
-        manifest = json.loads((directory / "manifest.json").read_text())
-        manifest["format_version"] = 1
-        del manifest["checksums"]
-        (directory / "manifest.json").write_text(json.dumps(manifest))
+    def test_v1_flat_directory_is_rejected(self, legacy_index, name):
+        directory = legacy_index("v1")
         assert load_searcher(directory).recovery_report.legacy
 
         frames = _frames((directory / "postings.bin").read_bytes())
@@ -396,8 +429,12 @@ class TestGcState:
         load_searcher(tmp_path / "idx")
         assert gc.isenabled() is enabled
 
-        postings = tmp_path / "idx" / "gen-000001" / "postings.bin"
-        postings.write_bytes(postings.read_bytes()[:-3])
+        # A set count the collection does not match fails the load
+        # inside its pause.
+        manifest_path = tmp_path / "idx" / "gen-000001" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["num_sets"] += 1
+        manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(CorruptIndexError):
             load_searcher(tmp_path / "idx")
         assert gc.isenabled() is enabled

@@ -8,10 +8,15 @@ The contract under test, per ``docs/robustness.md``:
   replayable;
 * rules gate on site pattern, probability, ``count`` and ``after``;
 * the disarmed Null twin injects nothing and costs no state;
-* every injection is journaled and counted in ``faults_injected_total``.
+* every injection is journaled and counted in ``faults_injected_total``;
+* the fault points ``docs/robustness.md`` lists are exactly the ones
+  the source wires.
 """
 
+import ast
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -204,3 +209,39 @@ class TestRuntime:
         assert plan.counts() == {
             ("a", "transient"): 2, ("b", "torn"): 1
         }
+
+
+# ----------------------------------------------------------------------
+# the documented fault points are the wired ones
+# ----------------------------------------------------------------------
+_ROOT = Path(__file__).resolve().parent.parent
+_SITE_CALLS = {"maybe_fire", "maybe_mangle", "_write_file", "_read_file"}
+
+
+def _wired_sites():
+    """Every string literal passed to a fault-point call in ``src/repro``."""
+    sites = set()
+    for path in (_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) in _SITE_CALLS:
+                sites.update(
+                    arg.value
+                    for arg in node.args
+                    if isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)
+                )
+    return sites
+
+
+def _documented_sites():
+    text = (_ROOT / "docs" / "robustness.md").read_text(encoding="utf-8")
+    paragraph = text.split("Fault points currently wired", 1)[1]
+    paragraph = paragraph.split("\n\n", 1)[0]
+    return set(re.findall(r"`([a-z_]+\.[a-z_]+)`", paragraph))
+
+
+def test_documented_fault_points_are_the_wired_ones():
+    assert _documented_sites() == _wired_sites()

@@ -12,7 +12,7 @@ from repro import (
     load_searcher,
     save_searcher,
 )
-from repro.core.errors import StorageError
+from repro.core.errors import CorruptIndexError, StorageError
 
 
 @pytest.fixture()
@@ -28,7 +28,7 @@ def _save_flat(searcher, directory):
     level, with no ``CURRENT`` pointer."""
     manifest = save_searcher(searcher, directory)
     generation = directory / "gen-000001"
-    for name in ("manifest.json", "collection.jsonl", "postings.bin"):
+    for name in ("manifest.json", "collection.jsonl"):
         shutil.move(str(generation / name), str(directory / name))
     generation.rmdir()
     (directory / "CURRENT").unlink()
@@ -45,7 +45,8 @@ class TestRoundTrip:
         path, _m, _s = saved
         assert (path / "manifest.json").exists()
         assert (path / "collection.jsonl").exists()
-        assert (path / "postings.bin").exists()
+        # The lists are a function of the collection: none are stored.
+        assert not (path / "postings.bin").exists()
         assert (path.parent / "CURRENT").read_text().strip() == path.name
 
     def test_loaded_searcher_answers_match(self, saved, small_vocab):
@@ -81,9 +82,9 @@ class TestRoundTrip:
         loaded = load_searcher(tmp_path / "nsl")
         assert not loaded.index.with_skip_lists
         # Hash indexes and id lists are always available (built on first
-        # use); the manifest says so for loaders that read the keys.
-        assert manifest["with_id_lists"] is True
-        assert manifest["with_hash_index"] is True
+        # use), so the manifest no longer records them.
+        assert "with_id_lists" not in manifest
+        assert "with_hash_index" not in manifest
 
     def test_loaded_index_builds_aux_structures_on_first_use(self, saved):
         path, _m, original = saved
@@ -189,8 +190,18 @@ class TestFailureModes:
         with pytest.raises(StorageError):
             load_searcher(path.parent)
 
-    def test_corrupted_postings_detected(self, saved):
+    @pytest.mark.parametrize("key", ["num_tokens", "num_postings"])
+    def test_manifest_count_checked_against_the_build(self, saved, key):
         path, _m, _s = saved
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest[key] += 1
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(CorruptIndexError) as info:
+            load_searcher(path.parent)
+        assert info.value.report.components() == ["manifest"]
+
+    def test_corrupted_postings_detected(self, legacy_index):
+        path = legacy_index("v2") / "gen-000001"
         data = bytearray((path / "postings.bin").read_bytes())
         # Flip a byte deep inside a posting payload.
         data[len(data) // 2] ^= 0xFF
@@ -205,23 +216,21 @@ class TestFailureModes:
         with pytest.raises(StorageError):
             save_searcher(SetSimilaritySearcher(coll), tmp_path / "bad")
 
-    def test_random_corruption_never_silent(self, tmp_path):
-        """Fuzz: any single byte flip in postings.bin either leaves the
-        load equivalent (flipped padding is impossible here, so in
-        practice it raises) or raises StorageError — never a silently
+    def test_random_corruption_never_silent(self, legacy_index):
+        """Fuzz: any single byte flip in a format-2 postings.bin either
+        leaves the load equivalent (flipped padding is impossible here, so
+        in practice it raises) or raises StorageError — never a silently
         different index."""
         import random
 
-        coll = SetCollection.from_token_sets(
-            [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]]
-        )
-        save_searcher(SetSimilaritySearcher(coll), tmp_path / "fz")
-        postings = tmp_path / "fz" / "gen-000001" / "postings.bin"
+        directory = legacy_index("v2")
+        postings = directory / "gen-000001" / "postings.bin"
         original = postings.read_bytes()
-        reference = load_searcher(tmp_path / "fz")
+        reference = load_searcher(directory)
+        query = ["data", "cleaning"]
         ref_answers = {
             (r.set_id, round(r.score, 9))
-            for r in reference.search(["a", "b"], 0.3).results
+            for r in reference.search(query, 0.3).results
         }
         rng = random.Random(0)
         raised = 0
@@ -231,13 +240,13 @@ class TestFailureModes:
             data[pos] ^= 1 << rng.randrange(8)
             postings.write_bytes(bytes(data))
             try:
-                loaded = load_searcher(tmp_path / "fz")
+                loaded = load_searcher(directory)
             except StorageError:
                 raised += 1
                 continue
             got = {
                 (r.set_id, round(r.score, 9))
-                for r in loaded.search(["a", "b"], 0.3).results
+                for r in loaded.search(query, 0.3).results
             }
             assert got == ref_answers
         assert raised > 0  # the verifier actually fires

@@ -69,7 +69,7 @@ class TestCorruptionProperty:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        file_index=st.integers(min_value=0, max_value=2),
+        file_index=st.integers(min_value=0, max_value=1),
         offset=st.integers(min_value=0, max_value=10_000_000),
         bit=st.integers(min_value=0, max_value=7),
     )
@@ -78,9 +78,7 @@ class TestCorruptionProperty:
     ):
         path, expected = saved_dir
         gen = path / "gen-000001"
-        target = gen / (
-            "manifest.json", "collection.jsonl", "postings.bin"
-        )[file_index]
+        target = gen / ("manifest.json", "collection.jsonl")[file_index]
         original = target.read_bytes()
         current_before = (path / "CURRENT").read_bytes()
         data = bytearray(original)
@@ -108,11 +106,13 @@ class TestCorruptionProperty:
 
 class TestKillNineSimulation:
     """A save killed at any injected fault point must leave the
-    directory loadable, answering as either the old or the new state."""
+    directory loadable, answering as either the old or the new state.
+
+    The three fsyncs are those of the collection, the manifest and the
+    temp directory, in that order."""
 
     SITES = [
         ("persist.write_collection", 0),
-        ("persist.write_postings", 0),
         ("persist.write_manifest", 0),
         ("persist.fsync", 0),
         ("persist.fsync", 1),
@@ -146,7 +146,7 @@ class TestKillNineSimulation:
         searcher = _make_searcher()
         path = tmp_path / "idx"
         save_searcher(searcher, path)
-        with use_fault_plan("persist.write_postings:torn:count=1"):
+        with use_fault_plan("persist.write_manifest:torn:count=1"):
             with pytest.raises(TornWriteError):
                 save_searcher(searcher, path)
         # The retry cleans the stale temp directory, reuses its
@@ -165,14 +165,14 @@ class TestGenerationFallback:
         path = tmp_path / "idx"
         save_searcher(searcher, path)
         save_searcher(searcher, path)  # gen-000002 is now current
-        postings = path / "gen-000002" / "postings.bin"
-        postings.write_bytes(postings.read_bytes()[:-16])
+        collection = path / "gen-000002" / "collection.jsonl"
+        collection.write_bytes(collection.read_bytes()[:-16])
 
         loaded = load_searcher(path)
         report = loaded.recovery_report
         assert report.recovered
         assert report.loaded_generation == "gen-000001"
-        assert "postings" in report.components()
+        assert "collection" in report.components()
         assert report.quarantined == ["gen-000002.corrupt"]
         assert (path / "CURRENT").read_text().strip() == "gen-000001"
         assert _answers(loaded) == _answers(searcher)
@@ -209,13 +209,13 @@ class TestGenerationFallback:
         assert report.loaded_generation == "gen-000001"
 
     def test_injected_read_fault_triggers_fallback(self, tmp_path):
-        # A one-shot bit-flip on the postings *read* path: the current
+        # A one-shot bit-flip on the collection *read* path: the current
         # generation fails its checksum, the fallback read is clean.
         searcher = _make_searcher()
         path = tmp_path / "idx"
         save_searcher(searcher, path)
         save_searcher(searcher, path)
-        with use_fault_plan("persist.read_postings:flip:count=1"):
+        with use_fault_plan("persist.read_collection:flip:count=1"):
             loaded = load_searcher(path)
         assert loaded.recovery_report.recovered
         assert _answers(loaded) == _answers(searcher)

@@ -142,16 +142,15 @@ _SETS = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=4)
 _QUERIES = [["a"], ["a", "b"], ["b", "c", "d"], ["e", "a", "c"]]
 
 #: Every fault point one save passes, as ``(site, hits to let through)``:
-#: three data files, seven fsyncs (three files, the temp directory, the
-#: index directory twice and the ``CURRENT`` temp file) and the two
-#: promotion steps (rename, then the ``CURRENT`` write).
+#: two files, six fsyncs (the two files, the temp directory, the index
+#: directory twice and the ``CURRENT`` temp file) and the two promotion
+#: steps (rename, then the ``CURRENT`` write).
 _SAVE_FAULTS = (
     [
         ("persist.write_collection", 0),
-        ("persist.write_postings", 0),
         ("persist.write_manifest", 0),
     ]
-    + [("persist.fsync", k) for k in range(7)]
+    + [("persist.fsync", k) for k in range(6)]
     + [("persist.promote", 0), ("persist.promote", 1)]
 )
 
