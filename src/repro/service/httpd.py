@@ -17,7 +17,9 @@ to load-test the service layer:
 
 The server is a ``ThreadingHTTPServer``: one thread per connection, all
 sharing the service's caches (which are lock-protected) and its
-read-only index.
+read-only index.  Each response is one ``sendall`` on a ``TCP_NODELAY``
+socket, and a response sent before the request body was read closes
+the connection.
 
 >>> server = ServiceHTTPServer(service, host="127.0.0.1", port=0)
 >>> server.start()          # doctest: +SKIP
@@ -59,18 +61,32 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     # Socket timeout for every read and write on the connection; an idle
     # keep-alive connection times out while waiting for its next request.
     timeout = IDLE_TIMEOUT_SECONDS
+    # TCP_NODELAY on every accepted socket.  With Nagle's algorithm on, a
+    # small response waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+    # True between the start of a POST and the read of its body.  A
+    # response sent while it holds closes the connection: the unread
+    # body would otherwise be parsed as the next request line.
+    _body_pending = False
 
     # -- plumbing -------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:
         if self.server.verbose:
             super().log_message(format, *args)
 
-    def _send_json(
+    def _send(
         self,
         status: int,
-        body: Dict[str, Any],
+        content_type: str,
+        data: bytes,
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
+        """Send the status line, the headers and *data* in one write.
+
+        ``wfile`` is unbuffered (``wbufsize`` 0), so the one write is one
+        ``sendall``.  An ``OSError`` from it means the client has gone:
+        the connection is closed, and nothing more is written or logged.
+        """
         if status >= 400:
             registry = obs_metrics.get_registry()
             if registry.enabled:
@@ -79,24 +95,53 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                     "HTTP error responses by status code.",
                     ("status",),
                 ).labels(status=str(status)).inc()
-        data = json.dumps(body).encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        if self._body_pending:
+            self.send_header("Connection", "close")
+        if self.request_version != "HTTP/0.9":
+            # send_response/send_header collect the head in the stdlib's
+            # private ``_headers_buffer``; it is joined here with the
+            # blank line and the body instead of going out on its own
+            # through end_headers().
+            data = b"".join(self._headers_buffer) + b"\r\n" + data
+            self._headers_buffer = []
+        try:
+            self.wfile.write(data)
+        except OSError:
+            self.close_connection = True
+
+    def _send_json(
+        self,
+        status: int,
+        body: Dict[str, Any],
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
+        self._send(
+            status,
+            "application/json",
+            json.dumps(body).encode("utf-8"),
+            headers,
+        )
 
     def _read_json(self) -> Optional[Dict[str, Any]]:
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            self._send_json(400, {"ok": False, "error": "bad Content-Length"})
+            return None
         if length <= 0 or length > MAX_BODY_BYTES:
             self._send_json(
                 400, {"ok": False, "error": "missing or oversized body"}
             )
             return None
+        raw = self.rfile.read(length)
+        self._body_pending = False
         try:
-            body = json.loads(self.rfile.read(length).decode("utf-8"))
+            body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._send_json(400, {"ok": False, "error": f"bad JSON: {exc}"})
             return None
@@ -115,18 +160,6 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
                 "HTTP requests by path (unknown paths fold into 'other').",
                 ("path",),
             ).labels(path=path).inc()
-
-    def _send_metrics(self) -> None:
-        data = obs_metrics.render_prometheus(
-            obs_metrics.get_registry()
-        ).encode("utf-8")
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", obs_metrics.PROMETHEUS_CONTENT_TYPE
-        )
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
 
     def _send_unexpected(self, exc: BaseException) -> None:
         """Map an unhandled handler exception to a JSON 500.
@@ -158,13 +191,20 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             elif self.path == "/stats":
                 self._send_json(200, self.server.service.stats())
             elif self.path == "/metrics":
-                self._send_metrics()
+                self._send(
+                    200,
+                    obs_metrics.PROMETHEUS_CONTENT_TYPE,
+                    obs_metrics.render_prometheus(
+                        obs_metrics.get_registry()
+                    ).encode("utf-8"),
+                )
             else:
                 self._send_json(404, {"ok": False, "error": "unknown path"})
         except Exception as exc:  # repro-check: allow-broad-except
             self._send_unexpected(exc)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler contract)
+        self._body_pending = True
         try:
             self._route_post()
         except Exception as exc:  # repro-check: allow-broad-except
@@ -216,9 +256,27 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         raise ValueError("a query must be a string or a list of tokens")
 
     @staticmethod
-    def _deadline_of(body: Dict[str, Any]) -> Optional[float]:
+    def _number(value: Any, field: str) -> float:
+        # bool is an int subclass: ``"threshold": true`` would be τ = 1.
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"'{field}' must be a number")
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"'{field}' is out of range") from None
+
+    @classmethod
+    def _threshold_of(cls, body: Dict[str, Any]) -> float:
+        return cls._number(
+            body.get("threshold", DEFAULT_THRESHOLD), "threshold"
+        )
+
+    @classmethod
+    def _deadline_of(cls, body: Dict[str, Any]) -> Optional[float]:
         deadline_ms = body.get("deadline_ms")
-        return deadline_ms / 1000.0 if deadline_ms is not None else None
+        if deadline_ms is None:
+            return None
+        return cls._number(deadline_ms, "deadline_ms") / 1000.0
 
     def _result_dict(self, result: ServiceResult) -> Dict[str, Any]:
         service = self.server.service
@@ -234,7 +292,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         tokens = self._query_tokens(body, query)
         result = service.search(
             tokens,
-            float(body.get("threshold", DEFAULT_THRESHOLD)),
+            self._threshold_of(body),
             algorithm=body.get("algorithm"),
             deadline=self._deadline_of(body),
         )
@@ -252,7 +310,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             token_lists.append(self._query_tokens(body, query))
         results = service.search_batch(
             token_lists,
-            float(body.get("threshold", DEFAULT_THRESHOLD)),
+            self._threshold_of(body),
             algorithm=body.get("algorithm"),
             deadline=self._deadline_of(body),
             strategy=body.get("strategy", "threads"),
