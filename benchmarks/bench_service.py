@@ -8,9 +8,6 @@ corpus and workload and records them in ``BENCH_service.json``:
   pattern caching and in-batch coalescing exist for), with per-slot
   result sets asserted identical to direct sequential execution;
 * **result-cache hit >= 10x faster** than executing the same query;
-* the shared-scan strategy reads fewer list elements than per-query
-  execution on the same distinct workload (the term-at-a-time effect,
-  measured on the I/O model where CPython wall-clock is noisy);
 * a deadline turns a slow query into a flagged degraded answer instead
   of a blown budget.
 
@@ -27,7 +24,6 @@ import time
 from pathlib import Path
 
 from repro import ServiceConfig, SimilarityService
-from repro.algorithms.batch import BatchSelector
 from repro.data.workloads import make_traffic
 from repro.eval.harness import format_table
 
@@ -130,37 +126,6 @@ def test_service_throughput_and_caching(benchmark, context, default_workload,
     # The acceptance bars (see ISSUE/docs): 2x batched, 10x cache hits.
     assert speedup >= 2.0, record
     assert cache_speedup >= 10.0, record
-
-
-def test_shared_scan_reads_fewer_elements(context, default_workload):
-    searcher = context.searcher
-    token_lists = _tokens_of(context, default_workload)
-
-    per_query_elems = sum(
-        searcher.search(tokens, TAU, algorithm="sf").stats.elements_read
-        for tokens in token_lists
-    )
-    with SimilarityService(searcher) as service:
-        shared = service.search_batch(token_lists, TAU, strategy="shared")
-        assert all(r.ok for r in shared)
-    # The shared scan touches each subscribed list once over the union
-    # window; on an overlapping workload that is strictly less element
-    # traffic than per-query execution.
-    selector = BatchSelector(searcher.index)
-    _results, shared_stats = selector.search_many(
-        [searcher.prepare(tokens) for tokens in token_lists], TAU
-    )
-    shared_elems = shared_stats.elements_read
-    assert shared_elems < per_query_elems
-
-    if BENCH_JSON.exists():
-        record = json.loads(BENCH_JSON.read_text())
-        record["shared_scan_elements"] = shared_elems
-        record["per_query_elements"] = per_query_elems
-        record["shared_scan_element_ratio"] = round(
-            per_query_elems / max(shared_elems, 1), 2
-        )
-        BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
 
 
 def test_deadline_degrades_instead_of_blocking(context, default_workload):

@@ -17,7 +17,6 @@ from .base import (
     make_algorithm,
     register_algorithm,
 )
-from .batch import BatchSelector
 from .candidates import Candidate, HashCandidateSet, PartitionedCandidateSet
 from .prefixfilter import PrefixFilterSearcher
 from .streaming import first_match, stream_search
@@ -38,7 +37,6 @@ __all__ = [
     "algorithm_names",
     "make_algorithm",
     "register_algorithm",
-    "BatchSelector",
     "Candidate",
     "HashCandidateSet",
     "PartitionedCandidateSet",

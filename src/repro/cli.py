@@ -113,14 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument("--threshold", type=float, default=0.7)
     p_batch.add_argument(
-        "--algorithm", default="sf",
-        choices=[*algorithm_names(), "auto"],
-    )
-    p_batch.add_argument(
-        "--strategy", default="threads",
-        choices=["threads", "shared", "auto"],
-        help="per-query thread pool, shared term-at-a-time scan, or "
-        "overlap-driven choice",
+        "--algorithm", default="sf", choices=algorithm_names()
     )
     p_batch.add_argument(
         "--workers", type=int, default=None, help="thread-pool width"
@@ -158,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080)
     p_serve.add_argument(
-        "--algorithm", default="sf",
-        choices=[*algorithm_names(), "auto"],
+        "--algorithm", default="sf", choices=algorithm_names()
     )
     p_serve.add_argument(
         "--workers", type=int, default=None, help="thread-pool width"
@@ -380,9 +372,7 @@ def cmd_batch(args, out: IO[str]) -> int:
         args, searcher, tokenizer
     ) as service:
         results = service.search_batch(
-            [tokenizer.tokens(text) for text in texts],
-            args.threshold,
-            strategy=args.strategy,
+            [tokenizer.tokens(text) for text in texts], args.threshold
         )
         for i, (text, res) in enumerate(zip(texts, results)):
             if args.json:

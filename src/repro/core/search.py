@@ -104,10 +104,6 @@ class SetSimilaritySearcher:
         """
         index = self.index
         query = query.under(index.collection.stats)
-        if algorithm == "auto":
-            from .analysis import choose_algorithm
-
-            algorithm = choose_algorithm(index, query, threshold)
         alg = _algorithm_factory()(algorithm, index, **algorithm_options)
         return alg.search(query, threshold)
 

@@ -259,7 +259,6 @@ class ExperimentContext:
         workload: Iterable[str],
         tau: float,
         algorithm: str = "sf",
-        strategy: str = "threads",
         service: Optional[SimilarityService] = None,
         **config_options: Any,
     ) -> WorkloadSummary:
@@ -288,9 +287,7 @@ class ExperimentContext:
         try:
             queries = [self.tokenizer.tokens(text) for text in texts]
             started = time.perf_counter()
-            results = service.search_batch(
-                queries, tau, algorithm=algorithm, strategy=strategy
-            )
+            results = service.search_batch(queries, tau, algorithm=algorithm)
             elapsed = time.perf_counter() - started
         finally:
             if own:
@@ -305,7 +302,7 @@ class ExperimentContext:
             else QueryWorkload(texts, [-1] * len(texts), (0, 0), 0)
         )
         return WorkloadSummary(
-            f"service-{strategy}", tau, summary_workload, per_query, elapsed,
+            "service", tau, summary_workload, per_query, elapsed,
             metrics_snapshot=_registry_snapshot(),
         )
 

@@ -23,18 +23,14 @@ from .resilience import (
     call_with_retries,
 )
 from .service import (
-    BATCH_STRATEGIES,
     DEGRADED_ALGORITHM,
-    SHARED_SCAN_OVERLAP,
     ServiceConfig,
     ServiceResult,
     SimilarityService,
 )
 
 __all__ = [
-    "BATCH_STRATEGIES",
     "DEGRADED_ALGORITHM",
-    "SHARED_SCAN_OVERLAP",
     "AdmissionController",
     "CircuitBreaker",
     "GenerationLRUCache",

@@ -276,7 +276,17 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         deadline_ms = body.get("deadline_ms")
         if deadline_ms is None:
             return None
-        return cls._number(deadline_ms, "deadline_ms") / 1000.0
+        deadline_ms = cls._number(deadline_ms, "deadline_ms")
+        if not deadline_ms > 0.0:
+            raise ValueError("'deadline_ms' must be positive")
+        return deadline_ms / 1000.0
+
+    @staticmethod
+    def _algorithm_of(body: Dict[str, Any]) -> Optional[str]:
+        algorithm = body.get("algorithm")
+        if algorithm is not None and not isinstance(algorithm, str):
+            raise ValueError("'algorithm' must be a string")
+        return algorithm
 
     def _result_dict(self, result: ServiceResult) -> Dict[str, Any]:
         service = self.server.service
@@ -293,7 +303,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         result = service.search(
             tokens,
             self._threshold_of(body),
-            algorithm=body.get("algorithm"),
+            algorithm=self._algorithm_of(body),
             deadline=self._deadline_of(body),
         )
         self._send_json(200, self._result_dict(result))
@@ -311,9 +321,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         results = service.search_batch(
             token_lists,
             self._threshold_of(body),
-            algorithm=body.get("algorithm"),
+            algorithm=self._algorithm_of(body),
             deadline=self._deadline_of(body),
-            strategy=body.get("strategy", "threads"),
         )
         self._send_json(
             200,

@@ -23,13 +23,12 @@ wraps a :class:`~repro.core.search.SetSimilaritySearcher` (or an
   and tightened thresholds; it is always explicitly flagged, never
   silent.
 
-When no deadline fires and the per-query (``"threads"``) strategy runs,
-service answers are **bit-identical** to calling
-``searcher.search_prepared`` directly — the service adds no scoring path
-of its own.  The ``"shared"`` strategy delegates to
-:class:`~repro.algorithms.batch.BatchSelector` (each token list scanned
-once for the whole batch); its answer *sets* are identical with scores
-equal up to floating-point summation order.
+When no deadline fires, service answers are **bit-identical** to
+calling ``searcher.search_prepared`` directly — the service adds no
+scoring path of its own.  Every query runs the algorithm it names (or
+the configured default); an unknown name or a non-positive deadline is
+rejected on entry, before the caches, the pool or the circuit breaker
+see the call.
 """
 
 from __future__ import annotations
@@ -40,9 +39,12 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..algorithms.base import AlgorithmResult
-from ..algorithms.batch import BatchSelector, batch_overlap_factor
-from ..core.errors import ConfigurationError, EmptyQueryError
+from ..algorithms.base import AlgorithmResult, algorithm_names
+from ..core.errors import (
+    ConfigurationError,
+    EmptyQueryError,
+    UnknownAlgorithmError,
+)
 from ..core.query import PreparedQuery
 from ..core.search import SetSimilaritySearcher
 from ..faults import runtime as faults_runtime
@@ -61,12 +63,11 @@ from .resilience import (
 
 DEGRADED_ALGORITHM = "sf"
 
-BATCH_STRATEGIES = ("threads", "shared", "auto")
 
-#: ``"auto"`` switches to the shared scan at this mean number of
-#: interested queries per distinct batch token (the crossover shape
-#: measured by ``benchmarks/bench_extension_batch.py``).
-SHARED_SCAN_OVERLAP = 3.0
+def _check_algorithm(name: str) -> None:
+    known = algorithm_names()
+    if name not in known:
+        raise UnknownAlgorithmError(name, known)
 
 
 class ServiceConfig:
@@ -75,7 +76,7 @@ class ServiceConfig:
     Parameters
     ----------
     algorithm:
-        Default selection algorithm (any registered name, or ``"auto"``).
+        Default selection algorithm (any registered name).
     max_workers:
         Thread-pool width for batch execution (``None`` lets the
         executor pick; CPython threads bound scheduling overhead rather
@@ -132,6 +133,7 @@ class ServiceConfig:
         breaker_reset_seconds: float = 30.0,
         max_inflight: Optional[int] = None,
     ) -> None:
+        _check_algorithm(algorithm)
         if max_workers is not None and max_workers < 1:
             raise ConfigurationError("max_workers must be >= 1")
         if not (0.0 < degrade_tighten <= 1.0):
@@ -445,24 +447,42 @@ class SimilarityService:
         :class:`~repro.core.errors.ServiceOverloadError` when admission
         control sheds the query.
         """
+        algorithm, deadline = self._resolve(algorithm, deadline)
         self._admission.acquire(1)
         try:
             return self._search_admitted(tokens, tau, algorithm, deadline)
         finally:
             self._admission.release(1)
 
+    def _resolve(
+        self, algorithm: Optional[str], deadline: Optional[float]
+    ) -> Tuple[str, Optional[float]]:
+        """The call's algorithm and deadline, or the configured defaults.
+
+        Raises :class:`~repro.core.errors.UnknownAlgorithmError` or
+        :class:`ConfigurationError` (a deadline that is not positive)
+        before admission, the caches or the breaker see the call, so a
+        bad request never counts as a backend failure.
+        """
+        if not algorithm:
+            algorithm = self.config.algorithm  # checked by ServiceConfig
+        elif algorithm != self.config.algorithm:
+            _check_algorithm(algorithm)
+        if deadline is None:
+            return algorithm, self.config.deadline_seconds
+        if not deadline > 0.0:
+            raise ConfigurationError(
+                f"deadline must be positive, got {deadline!r}"
+            )
+        return algorithm, deadline
+
     def _search_admitted(
         self,
         tokens: Sequence[str],
         tau: float,
-        algorithm: Optional[str] = None,
-        deadline: Optional[float] = None,
+        algorithm: str,
+        deadline: Optional[float],
     ) -> ServiceResult:
-        algorithm = algorithm or self.config.algorithm
-        deadline = (
-            deadline if deadline is not None
-            else self.config.deadline_seconds
-        )
         started = time.perf_counter()
         version = self._searcher.version
         key = result_cache_key(tuple(tokens), tau, algorithm)
@@ -635,28 +655,25 @@ class SimilarityService:
         tau: float,
         algorithm: Optional[str] = None,
         deadline: Optional[float] = None,
-        strategy: str = "threads",
     ) -> List[ServiceResult]:
         """Execute a batch of token-set queries at one threshold.
 
         Returns one :class:`ServiceResult` per input, in input order;
         queries that tokenize to nothing get ``error`` slots rather than
-        raising.  ``strategy`` is ``"threads"`` (per-query algorithm,
-        deadlines honoured, bit-identical answers), ``"shared"``
-        (term-at-a-time :class:`BatchSelector` scan, no deadlines) or
-        ``"auto"`` (shared when token overlap is high and no deadline is
-        configured).
+        raising.  Every other query runs ``algorithm`` exactly as
+        :meth:`search` would, with bit-identical answers.
 
         Admission control weighs the whole batch: when admitting
         ``len(queries)`` more queries would exceed ``max_inflight``,
         the batch is shed with
         :class:`~repro.core.errors.ServiceOverloadError`.
         """
+        algorithm, deadline = self._resolve(algorithm, deadline)
         weight = max(len(queries), 1)
         self._admission.acquire(weight)
         try:
             return self._search_batch_admitted(
-                queries, tau, algorithm, deadline, strategy
+                queries, tau, algorithm, deadline
             )
         finally:
             self._admission.release(weight)
@@ -665,22 +682,11 @@ class SimilarityService:
         self,
         queries: Sequence[Sequence[str]],
         tau: float,
-        algorithm: Optional[str] = None,
-        deadline: Optional[float] = None,
-        strategy: str = "threads",
+        algorithm: str,
+        deadline: Optional[float],
     ) -> List[ServiceResult]:
-        if strategy not in BATCH_STRATEGIES:
-            raise ConfigurationError(
-                f"strategy must be one of {BATCH_STRATEGIES}, "
-                f"got {strategy!r}"
-            )
-        algorithm = algorithm or self.config.algorithm
-        deadline = (
-            deadline if deadline is not None
-            else self.config.deadline_seconds
-        )
+        """Cache replay, coalescing, locality sort, dispatch, collect."""
         version = self._searcher.version
-
         prepared: List[Optional[PreparedQuery]] = []
         out: List[Optional[ServiceResult]] = []
         for tokens in queries:
@@ -693,37 +699,6 @@ class SimilarityService:
                     ServiceResult(None, tau, algorithm, error=str(exc))
                 )
 
-        if strategy == "auto":
-            live = [q for q in prepared if q is not None]
-            strategy = (
-                "shared"
-                if deadline is None
-                and batch_overlap_factor(live) >= SHARED_SCAN_OVERLAP
-                else "threads"
-            )
-
-        if strategy == "shared":
-            self._run_shared(queries, prepared, out, tau, version)
-        else:
-            self._run_threads(
-                queries, prepared, out, tau, algorithm, deadline, version
-            )
-        self._count(
-            queries=sum(1 for r in out if r is not None and r.ok)
-        )
-        return out  # type: ignore[return-value]  # every slot is filled
-
-    def _run_threads(
-        self,
-        queries: Sequence[Sequence[str]],
-        prepared: List[Optional[PreparedQuery]],
-        out: List[Optional[ServiceResult]],
-        tau: float,
-        algorithm: str,
-        deadline: Optional[float],
-        version,
-    ) -> None:
-        """Per-query execution: cache, coalesce, sort, dispatch, collect."""
         # 1. Replay cache hits; group the remaining work by result key
         #    so identical in-batch queries execute once (coalescing).
         pending: Dict[Tuple, List[int]] = {}
@@ -789,48 +764,10 @@ class SimilarityService:
                     degraded_tau=primary.degraded_tau,
                 )
                 self._count(coalesced=1)
-
-    def _run_shared(
-        self,
-        queries: Sequence[Sequence[str]],
-        prepared: List[Optional[PreparedQuery]],
-        out: List[Optional[ServiceResult]],
-        tau: float,
-        version,
-    ) -> None:
-        """Term-at-a-time shared scan over the batch's cache misses.
-
-        Results are cached under the ``"batch"`` algorithm label — the
-        shared scan's summation order may differ from a per-query
-        algorithm's in the last float ulp, so the two cache populations
-        are kept distinct to preserve the bit-identical replay guarantee
-        of the per-query path.
-        """
-        miss_indices: List[int] = []
-        for i, query in enumerate(prepared):
-            if query is None:
-                continue
-            key = result_cache_key(tuple(queries[i]), tau, "batch")
-            if self._results is not None:
-                hit = self._results.get(key, version)
-                if hit is not None:
-                    out[i] = ServiceResult(hit, tau, "batch", cached=True)
-                    continue
-            miss_indices.append(i)
-        if not miss_indices:
-            return
-        # One index snapshot for the whole scan; queries prepared under
-        # another epoch's statistics are re-prepared under its own.
-        index = self._searcher.index
-        stats = index.collection.stats
-        results, _stats = BatchSelector(index).search_many(
-            [prepared[i].under(stats) for i in miss_indices], tau
+        self._count(
+            queries=sum(1 for r in out if r is not None and r.ok)
         )
-        for i, result in zip(miss_indices, results):
-            key = result_cache_key(tuple(queries[i]), tau, "batch")
-            if self._results is not None:
-                self._results.put(key, version, result)
-            out[i] = ServiceResult(result, tau, "batch")
+        return out  # type: ignore[return-value]  # every slot is filled
 
     def __repr__(self) -> str:
         return (
@@ -840,9 +777,7 @@ class SimilarityService:
 
 
 __all__ = [
-    "BATCH_STRATEGIES",
     "DEGRADED_ALGORITHM",
-    "SHARED_SCAN_OVERLAP",
     "ServiceConfig",
     "ServiceResult",
     "SimilarityService",

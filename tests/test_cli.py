@@ -205,13 +205,6 @@ class TestBatchCommand:
         # the same results as its first occurrence.
         assert rows[2]["results"] == rows[0]["results"]
 
-    def test_batch_strategy_validated(self, index_dir, queries_file):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["batch", "--index", str(index_dir),
-                 "--input", str(queries_file), "--strategy", "bogus"]
-            )
-
     def test_batch_metrics_summary_on_stderr(self, index_dir, queries_file,
                                              capsys):
         code, out = run_cli(

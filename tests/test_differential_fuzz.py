@@ -2,9 +2,9 @@
 
 One seeded sweep over corpus shapes (set-size skew, vocabulary size,
 duplicates, singletons), tokenizations, thresholds, algorithms and storage
-knobs.  Every engine — the seven list algorithms, both relational engines,
-the batch selector and the prefix filter — must return exactly the
-brute-force answer set for every drawn configuration.
+knobs.  Every engine — the seven list algorithms, both relational engines
+and the prefix filter — must return exactly the brute-force answer set for
+every drawn configuration.
 
 This is deliberately broad rather than deep: the per-module tests isolate
 failures; this one exists to catch interactions between knobs.
@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro import SetCollection, SetSimilaritySearcher, algorithm_names
-from repro.algorithms.batch import BatchSelector
 from repro.algorithms.prefixfilter import PrefixFilterSearcher
 from repro.relational.sqlbaseline import SqlBaseline
 from repro.relational.sqlite_backend import SqliteBaseline
@@ -57,7 +56,6 @@ def test_every_engine_agrees(universe_seed):
     sql = SqlBaseline(coll, btree_order=rng.choice([4, 64]))
     sqlite = SqliteBaseline(coll)
     prefix = PrefixFilterSearcher(coll, tau_min=0.5)
-    batch = BatchSelector(searcher.index)
 
     for _ in range(6):
         q = rng.sample(vocab, rng.randint(1, min(6, len(vocab))))
@@ -84,12 +82,6 @@ def test_every_engine_agrees(universe_seed):
             for r in prefix.search(q, tau).results
         }
         assert got == ref, (universe_seed, "prefix-filter", tau, q)
-
-        results, _stats = batch.search_many([pq], tau)
-        got = {
-            (r.set_id, round(r.score, 9)) for r in results[0].results
-        }
-        assert got == ref, (universe_seed, "batch", tau, q)
 
     sqlite.close()
 

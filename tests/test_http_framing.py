@@ -353,6 +353,9 @@ class TestNumericFields:
             ({"deadline_ms": "5"}, "deadline_ms"),
             ({"deadline_ms": False}, "deadline_ms"),
             ({"deadline_ms": {"ms": 5}}, "deadline_ms"),
+            ({"deadline_ms": 0}, "deadline_ms"),
+            ({"deadline_ms": -5}, "deadline_ms"),
+            ({"algorithm": ["sf"]}, "algorithm"),
         ],
     )
     @pytest.mark.parametrize("path", ["/search", "/batch"])

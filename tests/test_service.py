@@ -29,7 +29,11 @@ from repro import (
     SimilarityService,
     UpdatableSearcher,
 )
-from repro.core.errors import ConfigurationError, EmptyQueryError
+from repro.core.errors import (
+    ConfigurationError,
+    EmptyQueryError,
+    UnknownAlgorithmError,
+)
 from repro.data.synthetic import generate_word_database
 from repro.obs import metrics as obs_metrics
 from repro.service import (
@@ -222,23 +226,6 @@ class TestBatch:
         assert not batch[1].ok
         assert batch[1].results == []
 
-    def test_shared_strategy_same_answers(self, searcher, service):
-        batch = service.search_batch(self.BATCH, 0.3, strategy="shared")
-        for tokens, served in zip(self.BATCH, batch):
-            direct = searcher.search(tokens, 0.3, algorithm="sf")
-            assert [r.set_id for r in served.results] == \
-                [r.set_id for r in direct.results]
-            for got, want in zip(served.results, direct.results):
-                assert got.score == pytest.approx(want.score)
-
-    def test_auto_strategy_valid(self, service):
-        batch = service.search_batch(self.BATCH, 0.3, strategy="auto")
-        assert all(r.ok for r in batch)
-
-    def test_unknown_strategy_rejected(self, service):
-        with pytest.raises(ConfigurationError):
-            service.search_batch(self.BATCH, 0.3, strategy="bogus")
-
 
 class TestBatchRandomized:
     def test_large_batch_matches_sequential(self):
@@ -250,18 +237,15 @@ class TestBatchRandomized:
         with SimilarityService(
             searcher, config=ServiceConfig(max_workers=4)
         ) as service:
-            for strategy in ("threads", "shared", "auto"):
-                batch = service.search_batch(
-                    queries, 0.7, strategy=strategy
-                )
-                for tokens, served in zip(queries, batch):
-                    direct = searcher.search(tokens, 0.7, algorithm="sf")
-                    assert [r.set_id for r in served.results] == \
-                        [r.set_id for r in direct.results], strategy
+            batch = service.search_batch(queries, 0.7)
+            for tokens, served in zip(queries, batch):
+                direct = searcher.search(tokens, 0.7, algorithm="sf")
+                assert [r.set_id for r in served.results] == \
+                    [r.set_id for r in direct.results]
 
 
 class TestUpdatableBatch:
-    def test_shared_and_auto_match_threads_with_pending_sets(self):
+    def test_batch_matches_direct_search_with_pending_sets(self):
         rng = random.Random(7)
         vocab = [f"t{i}" for i in range(30)]
         sets = [rng.sample(vocab, rng.randint(2, 6)) for _ in range(300)]
@@ -273,15 +257,58 @@ class TestUpdatableBatch:
         with SimilarityService(
             updatable, config=ServiceConfig(result_cache_size=0)
         ) as service:
-            threads = service.search_batch(queries, 0.6, strategy="threads")
-            for strategy in ("shared", "auto"):
-                batch = service.search_batch(queries, 0.6, strategy=strategy)
-                for want, got in zip(threads, batch):
-                    assert {r.set_id for r in got.results} == \
-                        {r.set_id for r in want.results}, strategy
+            batch = service.search_batch(queries, 0.6)
+        for tokens, got in zip(queries, batch):
+            want = updatable.search(tokens, 0.6, algorithm="sf")
+            assert ids_and_scores(got.results) == \
+                ids_and_scores(want.results)
         assert any(
-            r.set_id >= 240 for slot in threads for r in slot.results
+            r.set_id >= 240 for slot in batch for r in slot.results
         )
+
+
+class TestRequestValidation:
+    """A bad algorithm name or deadline is the caller's error: it is
+    rejected on entry and never counts as a backend failure."""
+
+    def test_auto_is_rejected_everywhere(self, searcher, service):
+        from repro.cli import build_parser
+
+        with pytest.raises(UnknownAlgorithmError):
+            searcher.search(["data"], 0.5, algorithm="auto")
+        with pytest.raises(UnknownAlgorithmError):
+            service.search(["data"], 0.5, algorithm="auto")
+        with pytest.raises(UnknownAlgorithmError):
+            service.search_batch([["data"]], 0.5, algorithm="auto")
+        with pytest.raises(UnknownAlgorithmError):
+            ServiceConfig(algorithm="auto")
+        assert service.stats()["breaker_state"] == "closed"
+        assert service.stats()["queries_served"] == 0
+        for command in (["batch", "--input", "q.txt"], ["serve"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(
+                    [*command, "--index", "idx", "--algorithm", "auto"]
+                )
+            assert exc.value.code == 2
+
+    def test_unknown_algorithm_never_opens_the_breaker(self, service):
+        for _ in range(6):
+            with pytest.raises(UnknownAlgorithmError):
+                service.search(["data", "cleaning"], 0.4, algorithm="bogus")
+        with pytest.raises(UnknownAlgorithmError):
+            service.search_batch([["data"]], 0.4, algorithm="bogus")
+        assert service.search(["data", "cleaning"], 0.4).results
+        assert service.stats()["breaker_state"] == "closed"
+
+    @pytest.mark.parametrize("deadline", [0.0, -0.005, float("nan")])
+    def test_nonpositive_deadline_rejected(self, service, deadline):
+        with pytest.raises(ConfigurationError, match="deadline"):
+            service.search(["data"], 0.4, deadline=deadline)
+        with pytest.raises(ConfigurationError, match="deadline"):
+            service.search_batch([["data"]], 0.4, deadline=deadline)
+        stats = service.stats()
+        assert stats["queries_served"] == 0
+        assert stats["degraded"] == stats["deadline_misses"] == 0
 
 
 class TestDeadline:
@@ -498,6 +525,23 @@ class TestHTTPServer:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(server.url + "/nope", timeout=10)
         assert exc.value.code == 404
+
+    def test_unknown_algorithm_is_400_and_breaker_stays_closed(
+        self, server
+    ):
+        for _ in range(5):
+            with pytest.raises(urllib.error.HTTPError) as exc:
+                self._post(
+                    server.url + "/search",
+                    {"text": "Main", "threshold": 0.5, "algorithm": "bogus"},
+                )
+            assert exc.value.code == 400
+            assert "bogus" in json.loads(exc.value.read())["error"]
+        body = self._post(
+            server.url + "/search", {"text": "Main Stret", "threshold": 0.5}
+        )
+        assert body["ok"] and body["results"]
+        assert self._get(server.url + "/stats")["breaker_state"] == "closed"
 
     def test_idle_keep_alive_connection_is_closed(self, server, monkeypatch):
         from repro.service import httpd

@@ -2,9 +2,9 @@
 
 Bigger than the unit fixtures (3 000 sets, q-gram tokens from generated
 words) and deliberately mixed: selections across algorithms and thresholds
-against brute force, top-k, a join slice, persistence round-trip,
-validation, and the batch selector — all on the same index.  Kept to a
-single module so the cost is paid once.
+against brute force, top-k, a join slice, persistence round-trip and
+validation — all on the same index.  Kept to a single module so the cost
+is paid once.
 """
 
 import random
@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro import SetSimilaritySearcher, algorithm_names
-from repro.algorithms.batch import BatchSelector
 from repro.core.tokenize import QGramTokenizer
 from repro.core.validation import validate_index
 from repro.data.synthetic import generate_word_database
@@ -63,20 +62,6 @@ def test_topk_consistent_at_scale(big):
             for r in searcher.top_k(q, 10).results
         ]
         assert got == [(r.set_id, round(r.score, 9)) for r in full[:10]]
-
-
-def test_batch_consistent_at_scale(big):
-    searcher, words, tok = big
-    rng = random.Random(7)
-    queries = [
-        searcher.prepare(tok.tokens(words[rng.randrange(len(words))]))
-        for _ in range(10)
-    ]
-    batch = BatchSelector(searcher.index)
-    results, _stats = batch.search_many(queries, 0.8)
-    for query, result in zip(queries, results):
-        ref = searcher.search_prepared(query, 0.8, algorithm="sf")
-        assert set(result.ids()) == set(ref.ids())
 
 
 def test_persistence_round_trip_at_scale(big, tmp_path):
