@@ -9,7 +9,8 @@ corpus and workload and records them in ``BENCH_service.json``:
   result sets asserted identical to direct sequential execution;
 * **result-cache hit >= 10x faster** than executing the same query;
 * a deadline turns a slow query into a flagged degraded answer instead
-  of a blown budget.
+  of a blown budget: it stops the query at its next page entry or hash
+  probe, in the calling thread.
 
 Wall-clock ratios here compare identical Python executing identical
 index operations, so they transfer — unlike cross-algorithm wall-clock,
@@ -26,6 +27,7 @@ from pathlib import Path
 from repro import ServiceConfig, SimilarityService
 from repro.data.workloads import make_traffic
 from repro.eval.harness import format_table
+from repro.faults import use_fault_plan
 
 from conftest import write_result
 
@@ -129,25 +131,18 @@ def test_service_throughput_and_caching(benchmark, context, default_workload,
 
 
 def test_deadline_degrades_instead_of_blocking(context, default_workload):
-    searcher = context.searcher
-    original = searcher.search_prepared
-
-    def slow_primary(prepared, tau, algorithm):
-        if algorithm == "nra":
-            time.sleep(0.5)
-        return original(prepared, tau, algorithm)
-
-    searcher.search_prepared = slow_primary
+    # Every hash probe stalls 2 ms, so TA's ~300 probes on this query
+    # would take over 0.5 s; the SF fallback never probes a hash index,
+    # so the stall slows only the primary, which the deadline stops at
+    # its next probe.
     tokens = _tokens_of(context, default_workload)[0]
-    try:
-        with SimilarityService(
-            searcher, config=ServiceConfig(algorithm="nra")
-        ) as service:
-            started = time.perf_counter()
-            result = service.search(tokens, TAU, deadline=0.05)
-            elapsed = time.perf_counter() - started
-    finally:
-        del searcher.search_prepared
+    with use_fault_plan("storage.hash_probe:latency:ms=2"), \
+            SimilarityService(
+                context.searcher, config=ServiceConfig(algorithm="ta")
+            ) as service:
+        started = time.perf_counter()
+        result = service.search(tokens, TAU, deadline=0.05)
+        elapsed = time.perf_counter() - started
     assert result.degraded and result.ok
     assert result.degraded_tau > TAU
     assert elapsed < 0.5  # answered before the primary would have

@@ -234,6 +234,7 @@ class SelectionAlgorithm:
         query: PreparedQuery,
         tau: float,
         length_floor: float = 0.0,
+        deadline: Optional[float] = None,
     ) -> AlgorithmResult:
         """Run the selection and time it.
 
@@ -246,6 +247,10 @@ class SelectionAlgorithm:
         the Theorem 1 window.  The self-join uses it to visit only
         partners at least as long as the probe, halving its reads; plain
         selections leave it at 0.
+
+        ``deadline`` is an absolute ``time.perf_counter()`` value: once it
+        has passed, the query's next page entry raises
+        :class:`~repro.core.errors.DeadlineExceeded`.
         """
         tau = effective_threshold(tau)
         self._length_floor = max(0.0, length_floor)
@@ -255,6 +260,7 @@ class SelectionAlgorithm:
             stats: IOStats = BufferedIOStats(self.buffer_pool_pages)
         else:
             stats = IOStats()
+        stats.deadline = deadline
         started = time.perf_counter()
         with obs_trace.span("query", algo=self.name, tau=tau) as query_span:
             lists = QueryLists(

@@ -14,8 +14,8 @@ Usage (also via ``python -m repro``):
 ``index`` reads one string per line and builds a q-gram searcher; ``query``
 and ``topk`` print tab-separated ``score<TAB>string`` rows, best first.
 ``batch`` answers a whole query file through the service layer (caching,
-thread-pool execution, optional deadlines); ``serve`` exposes the same
-service over JSON/HTTP.
+coalescing, optional deadlines); ``serve`` exposes the same service over
+JSON/HTTP.
 """
 
 from __future__ import annotations
@@ -116,9 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm", default="sf", choices=algorithm_names()
     )
     p_batch.add_argument(
-        "--workers", type=int, default=None, help="thread-pool width"
-    )
-    p_batch.add_argument(
         "--deadline-ms", type=float, default=None,
         help="per-query deadline; timeouts degrade to tightened SF",
     )
@@ -152,9 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8080)
     p_serve.add_argument(
         "--algorithm", default="sf", choices=algorithm_names()
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=None, help="thread-pool width"
     )
     p_serve.add_argument(
         "--deadline-ms", type=float, default=None,
@@ -338,7 +332,6 @@ def _build_service(args, searcher, tokenizer):
 
     config = ServiceConfig(
         algorithm=args.algorithm,
-        max_workers=args.workers,
         deadline_seconds=(
             args.deadline_ms / 1000.0
             if args.deadline_ms is not None
@@ -433,7 +426,7 @@ def cmd_serve(args, out: IO[str]) -> int:
     finally:
         # Stop admitting first (new queries get 503 + Retry-After while
         # the listener winds down), let in-flight queries finish, then
-        # release the sockets and the worker pool.
+        # release the sockets.
         service.drain(timeout=10.0)
         server.shutdown()
         service.close()

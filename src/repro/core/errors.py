@@ -87,5 +87,15 @@ class CircuitOpenError(ReproError):
         self.retry_after = retry_after
 
 
+class DeadlineExceeded(ReproError):
+    """A query passed its deadline; raised at its next page entry.
+
+    The storage layer checks the per-query deadline on its
+    :class:`~repro.storage.pages.IOStats` ledger each time a query
+    touches disk, so the query stops there and its partial work is
+    discarded.  The service turns it into a degraded fallback answer.
+    """
+
+
 class SchemaError(ReproError):
     """A relational operation referenced a column that does not exist."""

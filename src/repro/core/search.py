@@ -94,18 +94,21 @@ class SetSimilaritySearcher:
         query: PreparedQuery,
         threshold: float,
         algorithm: str = DEFAULT_ALGORITHM,
+        deadline: Optional[float] = None,
         **algorithm_options: Any,
     ) -> AlgorithmResult:
         """Run a prepared query on the current index.
 
         The index is read once, so the whole query sees one snapshot; a
         query prepared under other statistics is re-prepared under the
-        snapshot's.
+        snapshot's.  ``deadline`` (absolute ``time.perf_counter()``)
+        stops the query at its next page entry with
+        :class:`~repro.core.errors.DeadlineExceeded`.
         """
         index = self.index
         query = query.under(index.collection.stats)
         alg = _algorithm_factory()(algorithm, index, **algorithm_options)
-        return alg.search(query, threshold)
+        return alg.search(query, threshold, deadline=deadline)
 
     def top_k(self, tokens: Sequence[str], k: int) -> TopKResult:
         """The k most similar sets (future-work extension, Section X)."""

@@ -36,7 +36,6 @@ from ..core.tokenize import QGramTokenizer, Tokenizer
 from ..data.workloads import QueryWorkload
 from ..obs import metrics as obs_metrics
 from ..relational.sqlbaseline import SqlBaseline
-from ..service import ServiceConfig, SimilarityService
 from .metrics import mean
 
 PAPER_THRESHOLDS = (0.6, 0.7, 0.8, 0.9)
@@ -243,66 +242,6 @@ class ExperimentContext:
         elapsed = time.perf_counter() - started
         return WorkloadSummary(
             engine_spec, tau, workload, per_query, elapsed,
-            metrics_snapshot=_registry_snapshot(),
-        )
-
-    def make_service(
-        self, config: Optional[ServiceConfig] = None
-    ) -> SimilarityService:
-        """A service-layer facade over this context's searcher."""
-        return SimilarityService(
-            self.searcher, config, tokenizer=self.tokenizer
-        )
-
-    def run_workload_batched(
-        self,
-        workload: Iterable[str],
-        tau: float,
-        algorithm: str = "sf",
-        service: Optional[SimilarityService] = None,
-        **config_options: Any,
-    ) -> WorkloadSummary:
-        """The workload as *one service batch* instead of a query loop.
-
-        Accepts any iterable of query texts (a
-        :class:`~repro.data.workloads.QueryWorkload` or a raw traffic
-        list, e.g. from :func:`repro.data.workloads.make_traffic`).
-        Pass ``service`` to reuse one facade (and its warm caches)
-        across calls; otherwise a fresh one is built from
-        ``config_options`` and closed before returning.
-
-        The summary's per-query telemetry comes from the underlying
-        :class:`AlgorithmResult` objects; cache hits replay the original
-        result, so their ledgers count the *original* work, while
-        ``wall_seconds_total`` reflects the actual batch wall-clock.
-        """
-        texts = list(workload)
-        own = service is None
-        if own:
-            service = SimilarityService(
-                self.searcher,
-                ServiceConfig(algorithm=algorithm, **config_options),
-                tokenizer=self.tokenizer,
-            )
-        try:
-            queries = [self.tokenizer.tokens(text) for text in texts]
-            started = time.perf_counter()
-            results = service.search_batch(queries, tau, algorithm=algorithm)
-            elapsed = time.perf_counter() - started
-        finally:
-            if own:
-                service.close()
-        per_query = [
-            r.result for r in results if r.ok and r.result is not None
-        ]
-        summary_workload = (
-            workload
-            if isinstance(workload, QueryWorkload)
-            # Raw traffic: no sampling bucket, no provenance.
-            else QueryWorkload(texts, [-1] * len(texts), (0, 0), 0)
-        )
-        return WorkloadSummary(
-            "service", tau, summary_workload, per_query, elapsed,
             metrics_snapshot=_registry_snapshot(),
         )
 

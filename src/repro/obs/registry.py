@@ -18,9 +18,9 @@ single-process reproduction needs:
   ``>= value``, rendering adds the ``+Inf`` bucket, ``_sum`` and
   ``_count``).
 
-All mutation is lock-protected — counts must be exact under the service
-layer's thread pool, and a lost increment is exactly the kind of silent
-skew this subsystem exists to rule out.  The locks sit on per-family
+All mutation is lock-protected — counts must be exact under the HTTP
+server's one-thread-per-connection handlers, and a lost increment is
+exactly the kind of silent skew this subsystem exists to rule out.  The locks sit on per-family
 hot paths that run a handful of times per *query* (never per posting),
 so contention is negligible; the truly hot per-element accounting stays
 in :class:`repro.storage.pages.IOStats` and is flushed into the

@@ -3,9 +3,10 @@
 The ``service`` layer sits above ``algorithms`` in the package DAG and
 turns the one-query-at-a-time library into a throughput-oriented
 server: generation-checked LRU caches for prepared queries and results,
-thread-pool batch execution with rare-token locality sorting and
-request coalescing, per-query deadlines with an explicitly flagged SF
-fallback, and a stdlib JSON-over-HTTP front end (``repro serve``).
+in-thread batch execution with rare-token locality sorting and
+request coalescing, per-query deadlines that stop a query at its next
+page entry and fall back to an explicitly flagged SF answer, and a
+stdlib JSON-over-HTTP front end (``repro serve``).
 
 See ``docs/service.md`` for the architecture and guarantees.
 """

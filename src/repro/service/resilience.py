@@ -14,7 +14,9 @@ backend, turning infrastructure failures (real, or injected by
   After ``threshold`` consecutive failures the breaker fails fast with
   :class:`~repro.core.errors.CircuitOpenError` (no backend call) until
   ``reset_seconds`` pass on an injectable monotonic clock; the next
-  call is a half-open probe whose outcome closes or re-opens it.
+  call is a half-open probe whose outcome closes or re-opens it; an
+  attempt stopped by its deadline judges nothing and only frees the
+  probe slot.
 * :class:`AdmissionController` — bounded in-flight work.  Arrivals that
   would exceed ``max_inflight`` are shed immediately with
   :class:`~repro.core.errors.ServiceOverloadError` (the HTTP layer maps
@@ -150,7 +152,8 @@ class CircuitBreaker:
     :class:`CircuitOpenError` while open, and admits exactly one probe
     at a time once ``reset_seconds`` have elapsed (half-open).  The
     caller reports the outcome via :meth:`record_success` /
-    :meth:`record_failure`.  The ``breaker_state`` gauge mirrors the
+    :meth:`record_failure`, or :meth:`release_probe` for an attempt
+    that says nothing about the backend.  The ``breaker_state`` gauge mirrors the
     state (0 closed / 1 open / 2 half-open).
     """
 
@@ -225,6 +228,12 @@ class CircuitBreaker:
             self._probing = False
             if self._state != BREAKER_CLOSED:
                 self._set_state(BREAKER_CLOSED)
+
+    def release_probe(self) -> None:
+        """End an attempt without judging the backend (a deadline miss):
+        a half-open probe slot is freed and the state is left as is."""
+        with self._lock:
+            self._probing = False
 
     def record_failure(self) -> None:
         with self._lock:

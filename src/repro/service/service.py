@@ -9,39 +9,37 @@ wraps a :class:`~repro.core.search.SetSimilaritySearcher` (or an
   Theorem 1 window machinery) and **results** in generation-checked LRU
   caches (:mod:`repro.service.cache`) — any index mutation changes the
   searcher's version token and lazily invalidates both;
-* executes **batches** on a ``ThreadPoolExecutor`` with per-query
-  ``IOStats`` isolation (every execution opens its own cursors and
-  ledger; the index structures are read-only during search), sorting the
-  batch by each query's rarest tokens so queries sharing hot lists run
-  adjacently — better buffer-pool locality — and coalescing identical
-  in-batch queries so a burst of duplicates costs one execution;
-* enforces per-query **deadlines** with graceful degradation: on
-  timeout the configured algorithm is abandoned and the query re-runs as
-  ``SF`` with a *tightened* cutoff (higher threshold → stronger λ/window
-  pruning → bounded work).  A degraded answer contains only exact,
-  correct scores but may miss borderline results between the requested
-  and tightened thresholds; it is always explicitly flagged, never
-  silent.
+* executes **batches** in the calling thread, sorting the batch by
+  each query's rarest tokens so queries sharing hot lists run adjacently
+  — better buffer-pool locality — and coalescing identical in-batch
+  queries so a burst of duplicates costs one execution;
+* enforces per-query **deadlines** with graceful degradation: the
+  deadline rides on the query's ``IOStats`` ledger and stops the query
+  at its next page entry (:class:`~repro.core.errors.DeadlineExceeded`);
+  the query then re-runs as ``SF`` with a *tightened* cutoff (higher
+  threshold → stronger λ/window pruning → bounded work).  A degraded
+  answer contains only exact, correct scores but may miss borderline
+  results between the requested and tightened thresholds; it is always
+  explicitly flagged, never silent.
 
 When no deadline fires, service answers are **bit-identical** to
 calling ``searcher.search_prepared`` directly — the service adds no
 scoring path of its own.  Every query runs the algorithm it names (or
 the configured default); an unknown name or a non-positive deadline is
-rejected on entry, before the caches, the pool or the circuit breaker
-see the call.
+rejected on entry, before the caches or the circuit breaker see the
+call.  No query starts a thread: every execution runs in its caller's.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import AlgorithmResult, algorithm_names
 from ..core.errors import (
     ConfigurationError,
+    DeadlineExceeded,
     EmptyQueryError,
     UnknownAlgorithmError,
 )
@@ -78,13 +76,15 @@ class ServiceConfig:
     algorithm:
         Default selection algorithm (any registered name).
     max_workers:
-        Thread-pool width for batch execution (``None`` lets the
-        executor pick; CPython threads bound scheduling overhead rather
-        than adding CPUs for the simulated index, so modest widths win).
+        Accepted and ignored: every query runs in its caller's thread.
+        It is neither stored nor validated, and stays only so existing
+        callers that pass it keep working.
     result_cache_size / prepared_cache_size:
         LRU capacities; ``0`` disables the respective cache.
     deadline_seconds:
-        Default per-query deadline; ``None`` means no deadline.
+        Default per-query deadline; ``None`` means no deadline.  The
+        clock starts when the query starts executing and stops it at
+        its next page entry.
     degrade_tighten:
         How far the fallback cutoff moves from ``tau`` toward ``1.0``
         on a deadline miss: ``tau' = tau + degrade_tighten * (1 - tau)``.
@@ -103,7 +103,6 @@ class ServiceConfig:
 
     __slots__ = (
         "algorithm",
-        "max_workers",
         "result_cache_size",
         "prepared_cache_size",
         "deadline_seconds",
@@ -134,8 +133,6 @@ class ServiceConfig:
         max_inflight: Optional[int] = None,
     ) -> None:
         _check_algorithm(algorithm)
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError("max_workers must be >= 1")
         if not (0.0 < degrade_tighten <= 1.0):
             raise ConfigurationError("degrade_tighten must be in (0, 1]")
         if deadline_seconds is not None and deadline_seconds <= 0.0:
@@ -149,7 +146,6 @@ class ServiceConfig:
         if max_inflight is not None and max_inflight < 1:
             raise ConfigurationError("max_inflight must be >= 1")
         self.algorithm = algorithm
-        self.max_workers = max_workers
         self.result_cache_size = result_cache_size
         self.prepared_cache_size = prepared_cache_size
         self.deadline_seconds = deadline_seconds
@@ -266,9 +262,9 @@ class SimilarityService:
         service = SimilarityService(searcher)            # static index
         service = SimilarityService(updatable_searcher)  # epoch updates
 
-    Close it (or use it as a context manager) to release the worker
-    pool; a service that never sees a deadline or a batch never starts
-    one.
+    Every query runs in the calling thread, so the service holds no
+    threads; :meth:`close` (or the context manager) releases nothing and
+    stays for callers that manage its lifetime.
     """
 
     def __init__(
@@ -283,8 +279,8 @@ class SimilarityService:
                 f"UpdatableSearcher, got {type(backend).__name__}"
             )
         self._searcher = backend
-        # Force the lazy corpus statistics and lengths now, so worker
-        # threads never race to initialize them mid-batch.
+        # Force the lazy corpus statistics and lengths now, so
+        # concurrent callers never race to initialize them mid-query.
         collection = backend.collection
         if collection.frozen and len(collection):
             collection.lengths()
@@ -302,8 +298,6 @@ class SimilarityService:
             if self.config.prepared_cache_size
             else None
         )
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_lock = threading.Lock()
         self._counter_lock = threading.Lock()
         self._retry = RetryPolicy(
             attempts=self.config.retry_attempts,
@@ -323,14 +317,11 @@ class SimilarityService:
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
+        """Nothing to release: the service holds no threads."""
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: stop admitting, wait for in-flight queries,
-        then release the pool.  New arrivals are shed with
+        """Graceful shutdown: stop admitting and wait for in-flight
+        queries.  New arrivals are shed with
         :class:`~repro.core.errors.ServiceOverloadError` while draining.
         Returns True when everything in flight completed in time."""
         drained = self._admission.drain(timeout)
@@ -342,15 +333,6 @@ class SimilarityService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _pool(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.config.max_workers,
-                    thread_name_prefix="repro-service",
-                )
-            return self._executor
 
     # -- preparation & caching -----------------------------------------
     def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
@@ -398,21 +380,34 @@ class SimilarityService:
 
     # -- resilient execution -------------------------------------------
     def _execute_raw(
-        self, prepared: PreparedQuery, tau: float, algorithm: str
+        self,
+        prepared: PreparedQuery,
+        tau: float,
+        algorithm: str,
+        expires: Optional[float],
     ) -> AlgorithmResult:
         faults_runtime.maybe_fire("service.execute")
-        return self._searcher.search_prepared(prepared, tau, algorithm)
+        return self._searcher.search_prepared(
+            prepared, tau, algorithm, deadline=expires
+        )
 
     def _execute_resilient(
-        self, prepared: PreparedQuery, tau: float, algorithm: str
+        self,
+        prepared: PreparedQuery,
+        tau: float,
+        algorithm: str,
+        expires: Optional[float] = None,
     ) -> AlgorithmResult:
         """One backend execution behind the breaker and retry policy.
 
         Transient I/O errors (real or injected at the
         ``service.execute`` fault point) are retried with jittered
-        backoff; exhausted retries and unexpected failures feed the
-        circuit breaker, which fails fast once ``breaker_threshold``
-        consecutive executions have failed.
+        backoff, every try against the same absolute ``expires``;
+        exhausted retries and unexpected failures feed the circuit
+        breaker, which fails fast once ``breaker_threshold`` consecutive
+        executions have failed.  A deadline miss is neither retried nor
+        a failure: it says nothing about the backend's health, so it
+        only ends a half-open probe.
         """
         self._breaker.allow()
         try:
@@ -421,8 +416,12 @@ class SimilarityService:
                 prepared,
                 tau,
                 algorithm,
+                expires,
                 policy=self._retry,
             )
+        except DeadlineExceeded:
+            self._breaker.release_probe()
+            raise
         except Exception:  # repro-check: allow-broad-except
             # Any failure flavour counts against the breaker; the
             # exception itself is re-raised untouched.
@@ -496,14 +495,7 @@ class SimilarityService:
                     hit, tau, algorithm, cached=True, wall_seconds=wall,
                 )
         prepared = self.prepare(tokens)
-        future = None
-        if deadline is not None:
-            future = self._pool().submit(
-                self._execute_resilient, prepared, tau, algorithm
-            )
-        out = self._settle(
-            future, prepared, tau, algorithm, deadline, key, version
-        )
+        out = self._settle(prepared, tau, algorithm, deadline, key, version)
         out.wall_seconds = time.perf_counter() - started
         self._observe_latency(out.wall_seconds)
         self._count(queries=1)
@@ -574,7 +566,6 @@ class SimilarityService:
 
     def _settle(
         self,
-        future: "Optional[Future[AlgorithmResult]]",
         prepared: PreparedQuery,
         tau: float,
         algorithm: str,
@@ -583,63 +574,27 @@ class SimilarityService:
         version,
         copies: int = 1,
     ) -> ServiceResult:
-        """Finish one execution: await ``future`` (or, when it is
-        ``None``, run the query in the calling thread), degrading on a
-        deadline miss; cache the answer unless it is degraded, and count
-        a degraded answer once per query it serves (``copies``)."""
-        if future is None:
-            out = ServiceResult(
-                self._execute_resilient(prepared, tau, algorithm),
-                tau,
-                algorithm,
-            )
-        elif deadline is None:
-            out = ServiceResult(future.result(), tau, algorithm)
-        else:
-            out = self._collect_with_deadline(
-                future, prepared, tau, algorithm, deadline
-            )
-        if (
-            self._results is not None
-            and not out.degraded
-            and out.result is not None
-        ):
-            self._results.put(key, version, out.result)
-        if out.degraded:
-            self._count(degraded=copies)
-        return out
+        """Run one execution in the calling thread and cache its answer.
 
-    def _collect_with_deadline(
-        self,
-        future: "Future[AlgorithmResult]",
-        prepared: PreparedQuery,
-        tau: float,
-        algorithm: str,
-        deadline: float,
-    ) -> ServiceResult:
-        """Await the primary attempt; degrade gracefully on timeout.
-
-        CPython threads cannot be cancelled, so a timed-out primary
-        keeps running in its worker; its result is adopted anyway if it
-        finished by the time the fallback completes (late but complete
-        beats degraded).  The fallback runs *in the collecting thread* —
-        never submitted to the pool, so a saturated pool cannot starve
-        the degraded path.
+        The deadline clock starts here, when the query starts executing.
+        On a miss the query re-runs as SF at the tightened cutoff with
+        no deadline; that answer is flagged, never cached, and counted
+        once per query it serves (``copies``).
         """
+        expires = None if deadline is None else time.perf_counter() + deadline
         try:
-            return ServiceResult(
-                future.result(timeout=deadline), tau, algorithm
-            )
-        except FutureTimeout:
+            result = self._execute_resilient(prepared, tau, algorithm, expires)
+        except DeadlineExceeded:
             self._count(deadline_misses=1)
+        else:
+            if self._results is not None:
+                self._results.put(key, version, result)
+            return ServiceResult(result, tau, algorithm)
         fallback_tau = self.config.degraded_tau(tau)
         fallback = self._execute_resilient(
             prepared, fallback_tau, DEGRADED_ALGORITHM
         )
-        if future.done() and future.exception() is None:
-            # The primary finished while the fallback ran: prefer the
-            # complete answer (late, but neither degraded nor wrong).
-            return ServiceResult(future.result(), tau, algorithm)
+        self._count(degraded=copies)
         return ServiceResult(
             fallback,
             tau,
@@ -685,7 +640,7 @@ class SimilarityService:
         algorithm: str,
         deadline: Optional[float],
     ) -> List[ServiceResult]:
-        """Cache replay, coalescing, locality sort, dispatch, collect."""
+        """Cache replay, coalescing, locality sort, inline execution."""
         version = self._searcher.version
         prepared: List[Optional[PreparedQuery]] = []
         out: List[Optional[ServiceResult]] = []
@@ -714,37 +669,17 @@ class SimilarityService:
             pending.setdefault(key, []).append(i)
 
         # 2. Locality sort: queries sharing their rarest (highest-idf)
-        #    tokens run adjacently, so consecutive workers touch the
+        #    tokens run adjacently, so consecutive executions touch the
         #    same hot lists (and the same buffer-pool pages).
         order = sorted(
             pending.items(), key=lambda item: prepared[item[1][0]].tokens
         )
 
-        # 3. Dispatch one execution per distinct key.  Workers never
-        #    submit nested pool work (the deadline fallback runs in the
-        #    collector), so the pool cannot deadlock on itself.
-        pool = self._pool()
-        futures = [
-            (
-                key,
-                indices,
-                pool.submit(
-                    self._execute_resilient,
-                    prepared[indices[0]],
-                    tau,
-                    algorithm,
-                ),
-            )
-            for key, indices in order
-        ]
-
-        # 4. Collect in dispatch order.  The per-query deadline clock
-        #    starts when the collector reaches the future — by then the
-        #    future has been runnable at least that long, so no query is
-        #    degraded for time it spent queued behind the batch.
-        for key, indices, future in futures:
+        # 3. Execute one query per distinct key, in that order, in this
+        #    thread.  Each deadline clock starts when its query starts,
+        #    so no query is charged for time it spent queued.
+        for key, indices in order:
             primary = self._settle(
-                future,
                 prepared[indices[0]],
                 tau,
                 algorithm,

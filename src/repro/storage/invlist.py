@@ -441,6 +441,8 @@ class InvertedIndex:
         if hash_index is None:
             hash_index = _publish(postings, "hash", self._build_hash)
         faults_runtime.maybe_fire("storage.hash_probe")
+        if stats is not None and stats.deadline is not None:
+            stats.check_deadline()
         found, length = hash_index.probe(set_id, stats)
         return length if found else None
 

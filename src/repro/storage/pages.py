@@ -18,9 +18,10 @@ sizes) can be regenerated from the structures themselves.
 
 from __future__ import annotations
 
+import time
 from typing import Any, Iterator, List, Optional, Sequence
 
-from ..core.errors import StorageError
+from ..core.errors import DeadlineExceeded, StorageError
 from ..faults import runtime as faults_runtime
 
 DEFAULT_PAGE_CAPACITY = 128
@@ -36,7 +37,11 @@ class IOStats:
     traffic that separates TA-style from NRA-style methods.
     """
 
-    __slots__ = (
+    #: The counters that :meth:`snapshot`/:meth:`add` cover.  Subclasses
+    #: that add counters must extend this tuple — iterating
+    #: ``self.__slots__`` would see only the subclass's own slots and
+    #: silently drop (or double) the base counters.
+    COUNTER_FIELDS = (
         "sequential_pages",
         "random_pages",
         "elements_read",
@@ -45,13 +50,14 @@ class IOStats:
         "candidate_scans",
     )
 
-    #: The counters that :meth:`snapshot`/:meth:`add` cover.  Subclasses
-    #: that add counters must extend this tuple — iterating
-    #: ``self.__slots__`` would see only the subclass's own slots and
-    #: silently drop (or double) the base counters.
-    COUNTER_FIELDS = __slots__
+    __slots__ = COUNTER_FIELDS + ("deadline",)
 
     def __init__(self) -> None:
+        #: Absolute ``time.perf_counter()`` value past which the query
+        #: stops at its next page entry (``None``: no deadline).  Not a
+        #: counter: :meth:`reset`, :meth:`snapshot` and :meth:`add`
+        #: leave it alone.
+        self.deadline: Optional[float] = None
         self.reset()
 
     def reset(self) -> None:
@@ -83,6 +89,16 @@ class IOStats:
 
     def charge_candidate_scan(self, scanned: int = 1) -> None:
         self.candidate_scans += scanned
+
+    def check_deadline(self) -> None:
+        """Raise :class:`DeadlineExceeded` once the deadline has passed.
+
+        Storage calls it on entering a page or probing a hash bucket,
+        and only when ``deadline`` is set, so a query without one pays
+        a single attribute test per page.
+        """
+        if time.perf_counter() >= self.deadline:
+            raise DeadlineExceeded("query deadline passed")
 
     # ------------------------------------------------------------------
     @property
@@ -185,6 +201,8 @@ class PagedFile:
             )
         faults_runtime.maybe_fire("storage.read_page")
         if stats is not None:
+            if stats.deadline is not None:
+                stats.check_deadline()
             stats.charge_random_page(key=(id(self), self.page_of(position)))
         return self._records[position]
 
@@ -203,11 +221,12 @@ class SequentialCursor:
 
     The cursor buffers one page at a time.  A read inside the buffered
     page is one integer compare against ``_page_end``; entering a new page
-    fires the ``storage.read_page`` fault point and charges the page, keyed
-    ``(id(file), page)``: sequentially on a read, randomly on ``jump(pos)``
-    (the seek that a skip-list jump or an index-guided skip would cost on
-    disk).  The cursor sees the records the file held when it was opened.
-    The weight- and id-order list cursors of :mod:`repro.storage.invlist`
+    fires the ``storage.read_page`` fault point, checks the ledger's
+    deadline and charges the page, keyed ``(id(file), page)``:
+    sequentially on a read, randomly on ``jump(pos)`` (the seek that a
+    skip-list jump or an index-guided skip would cost on disk).  The
+    cursor sees the records the file held when it was opened.  The
+    weight- and id-order list cursors of :mod:`repro.storage.invlist`
     are subclasses, so a posting read is one frame.
     """
 
@@ -244,12 +263,15 @@ class SequentialCursor:
         page = self._pos // self._cap
         # The one place a cursor touches disk, and so where it can fail.
         faults_runtime.maybe_fire("storage.read_page")
-        if self._stats is not None:
+        stats = self._stats
+        if stats is not None:
+            if stats.deadline is not None:
+                stats.check_deadline()
             key = (id(self._file), page)
             if random:
-                self._stats.charge_random_page(key=key)
+                stats.charge_random_page(key=key)
             else:
-                self._stats.charge_sequential_page(key=key)
+                stats.charge_sequential_page(key=key)
         self._page_end = min((page + 1) * self._cap, self._len)
 
     def peek(self) -> Any:

@@ -205,6 +205,19 @@ class TestBatchCommand:
         # the same results as its first occurrence.
         assert rows[2]["results"] == rows[0]["results"]
 
+    @pytest.mark.parametrize(
+        "command", [["batch", "--input", "q.txt"], ["serve"]]
+    )
+    def test_workers_option_is_gone(self, command):
+        # Every query runs in the caller's thread: there is no pool
+        # width to set, so the option is rejected as unknown.
+        build_parser().parse_args([*command, "--index", "idx"])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [*command, "--index", "idx", "--workers", "4"]
+            )
+        assert exc.value.code == 2
+
     def test_batch_metrics_summary_on_stderr(self, index_dir, queries_file,
                                              capsys):
         code, out = run_cli(

@@ -1,8 +1,12 @@
 """Unit tests for the simulated paged storage and I/O accounting."""
 
+import time
+
 import pytest
 
-from repro.core.errors import StorageError
+from repro.core.collection import SetCollection
+from repro.core.errors import DeadlineExceeded, StorageError
+from repro.storage.invlist import InvertedIndex
 from repro.storage.pages import (
     IOStats,
     PagedFile,
@@ -179,6 +183,57 @@ class TestSequentialCursor:
         c.skip(9)
         assert c.next() == 9
         assert stats.elements_read == 1
+
+
+class TestDeadline:
+    """A ledger's deadline stops a query where it touches disk: a page
+    entry, a random fetch or a hash probe; it is not a counter."""
+
+    @staticmethod
+    def _expired():
+        stats = IOStats()
+        stats.deadline = time.perf_counter() - 1.0
+        return stats
+
+    def test_not_a_counter(self):
+        stats = self._expired()
+        assert "deadline" not in stats.snapshot()
+        assert "deadline" not in IOStats.COUNTER_FIELDS
+        stats.reset()
+        total = IOStats()
+        total.add(stats)
+        assert stats.deadline is not None and total.deadline is None
+
+    def test_page_entry_raises_and_charges_nothing(self):
+        f = PagedFile(16, page_capacity=4)
+        f.extend(range(10))
+        stats = self._expired()
+        with pytest.raises(DeadlineExceeded):
+            f.cursor(stats).next()
+        with pytest.raises(DeadlineExceeded):
+            f.fetch(5, stats)
+        assert stats.snapshot() == IOStats().snapshot()
+
+    def test_reads_inside_a_buffered_page_finish(self):
+        f = PagedFile(16, page_capacity=4)
+        f.extend(range(10))
+        stats = IOStats()
+        cursor = f.cursor(stats)
+        assert cursor.next() == 0
+        stats.deadline = time.perf_counter() - 1.0
+        assert [cursor.next() for _ in range(3)] == [1, 2, 3]
+        with pytest.raises(DeadlineExceeded):
+            cursor.next()  # the next page entry
+
+    def test_hash_probe_raises(self):
+        index = InvertedIndex(
+            SetCollection.from_token_sets([["a", "b"], ["a"]])
+        )
+        assert index.probe("a", 0, IOStats()) is not None
+        stats = self._expired()
+        with pytest.raises(DeadlineExceeded):
+            index.probe("a", 0, stats)
+        assert stats.hash_probes == 0
 
 
 class TestBytesHuman:

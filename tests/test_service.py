@@ -3,10 +3,12 @@
 The contract under test, per ``docs/service.md``:
 
 * service answers are bit-identical to direct searcher calls when no
-  deadline fires (including cached replays and thread batches);
+  deadline fires (including cached replays and batches);
 * caches invalidate on any index mutation, with no explicit flush;
-* a deadline miss degrades to SF at a tightened threshold and the
-  result is *flagged*, never silent, and never cached;
+* a deadline stops the query at its next page entry, and the miss
+  degrades to SF at a tightened threshold; the result is *flagged*,
+  never silent, and never cached;
+* no query starts a thread;
 * the HTTP endpoint round-trips all of the above as JSON.
 """
 
@@ -29,15 +31,16 @@ from repro import (
     SimilarityService,
     UpdatableSearcher,
 )
+from repro.algorithms import algorithm_names
 from repro.core.errors import (
     ConfigurationError,
     EmptyQueryError,
     UnknownAlgorithmError,
 )
 from repro.data.synthetic import generate_word_database
+from repro.faults import TransientIOError, use_fault_plan
 from repro.obs import metrics as obs_metrics
 from repro.service import (
-    DEGRADED_ALGORITHM,
     GenerationLRUCache,
     ServiceHTTPServer,
     result_cache_key,
@@ -101,8 +104,6 @@ class TestGenerationLRUCache:
 class TestServiceConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigurationError):
-            ServiceConfig(max_workers=0)
-        with pytest.raises(ConfigurationError):
             ServiceConfig(degrade_tighten=0.0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(degrade_tighten=1.5)
@@ -126,6 +127,20 @@ class TestSingleQuery:
         assert ids_and_scores(served.results) == \
             ids_and_scores(direct.results)
         assert not served.cached and not served.degraded
+
+    @pytest.mark.parametrize("algorithm", algorithm_names())
+    def test_no_deadline_keeps_answers_and_counters(
+        self, searcher, algorithm
+    ):
+        config = ServiceConfig(result_cache_size=0, prepared_cache_size=0)
+        with SimilarityService(searcher, config=config) as svc:
+            for tokens in TOKEN_SETS:
+                served = svc.search(tokens, 0.3, algorithm=algorithm)
+                direct = searcher.search(tokens, 0.3, algorithm=algorithm)
+                assert ids_and_scores(served.results) == \
+                    ids_and_scores(direct.results)
+                assert served.result.stats.snapshot() == \
+                    direct.stats.snapshot()
 
     def test_repeat_is_cached_and_identical(self, service):
         first = service.search(["data", "cleaning"], 0.4)
@@ -234,9 +249,7 @@ class TestBatchRandomized:
         )
         searcher = SetSimilaritySearcher(collection)
         queries = [list(rec.tokens) for rec in collection][:60]
-        with SimilarityService(
-            searcher, config=ServiceConfig(max_workers=4)
-        ) as service:
+        with SimilarityService(searcher) as service:
             batch = service.search_batch(queries, 0.7)
             for tokens, served in zip(queries, batch):
                 direct = searcher.search(tokens, 0.7, algorithm="sf")
@@ -311,33 +324,25 @@ class TestRequestValidation:
         assert stats["degraded"] == stats["deadline_misses"] == 0
 
 
+#: The first page read sleeps far past every deadline used below, so the
+#: primary stops at that page entry; the fallback then reads at full
+#: speed (the rule is spent).
+SLOW_FIRST_PAGE = "storage.read_page:latency:ms=200:count=1"
+
+
 class TestDeadline:
     @staticmethod
     @contextmanager
-    def _slow_service(searcher, primary_sleep, fallback_sleep=0.0):
-        """A service whose primary algorithm is artificially slow; the
-        searcher is restored once the service has closed."""
-        original = searcher.search_prepared
-
-        def slow_search_prepared(prepared, tau, algorithm):
-            time.sleep(
-                fallback_sleep
-                if algorithm == DEGRADED_ALGORITHM
-                else primary_sleep
-            )
-            return original(prepared, tau, algorithm)
-
-        searcher.search_prepared = slow_search_prepared
-        try:
-            with SimilarityService(
-                searcher, config=ServiceConfig(algorithm="nra")
-            ) as service:
-                yield service
-        finally:
-            del searcher.search_prepared
+    def _slow_service(searcher, spec=SLOW_FIRST_PAGE, **overrides):
+        """A service running ``nra`` under the latency plan ``spec``."""
+        config = ServiceConfig(algorithm="nra", **overrides)
+        with use_fault_plan(spec), SimilarityService(
+            searcher, config=config
+        ) as service:
+            yield service
 
     def test_deadline_miss_degrades_and_flags(self, searcher):
-        with self._slow_service(searcher, primary_sleep=1.5) as service:
+        with self._slow_service(searcher) as service:
             result = service.search(["data", "cleaning"], 0.4, deadline=0.05)
         assert result.degraded
         assert result.degraded_tau == pytest.approx(
@@ -348,8 +353,20 @@ class TestDeadline:
         assert stats["degraded"] == 1
         assert stats["deadline_misses"] == 1
 
+    def test_mid_query_expiry_equals_sf_at_degraded_tau(self, searcher):
+        tokens = ["data", "cleaning"]
+        # The first page read is fast, the second sleeps: the deadline
+        # passes after the primary has started reading.
+        spec = "storage.read_page:latency:ms=200:after=1:count=1"
+        with self._slow_service(searcher, spec) as service:
+            result = service.search(tokens, 0.4, deadline=0.05)
+        assert result.degraded and result.ok
+        want = searcher.search(tokens, result.degraded_tau, "sf")
+        assert ids_and_scores(result.results) == \
+            ids_and_scores(want.results)
+
     def test_degraded_answers_are_subset_at_tightened_tau(self, searcher):
-        with self._slow_service(searcher, primary_sleep=1.5) as service:
+        with self._slow_service(searcher) as service:
             degraded = service.search(
                 ["data", "cleaning"], 0.4, deadline=0.05
             )
@@ -360,30 +377,65 @@ class TestDeadline:
             assert r.score >= degraded.degraded_tau - 1e-9
 
     def test_degraded_result_never_cached(self, searcher):
-        with self._slow_service(searcher, primary_sleep=1.5) as service:
+        with self._slow_service(searcher) as service:
             service.search(["data", "cleaning"], 0.4, deadline=0.05)
-            # Without a deadline the slow primary runs to completion;
-            # the answer must be freshly computed, not a degraded replay.
+            # Without a deadline the primary runs to completion; the
+            # answer must be freshly computed, not a degraded replay.
             follow_up = service.search(["data", "cleaning"], 0.4)
         assert not follow_up.cached
         assert not follow_up.degraded
 
-    def test_late_primary_adopted_over_fallback(self, searcher):
-        # Primary outlives the deadline but finishes while the (very
-        # slow) fallback runs: the exact answer must win, unflagged.
-        with self._slow_service(
-            searcher, primary_sleep=0.1, fallback_sleep=1.0
-        ) as service:
-            result = service.search(["data", "cleaning"], 0.4, deadline=0.02)
-        assert not result.degraded
-        direct = searcher.search(["data", "cleaning"], 0.4, algorithm="nra")
-        assert ids_and_scores(result.results) == \
-            ids_and_scores(direct.results)
+    def test_no_thread_outlives_a_call(self, searcher):
+        before = threading.active_count()
+        with self._slow_service(searcher) as service:
+            assert service.search(
+                ["data", "cleaning"], 0.4, deadline=0.05
+            ).degraded
+            assert threading.active_count() == before
+            batch = service.search_batch(
+                [["data"], ["query", "processing"]], 0.4, deadline=0.05
+            )
+            assert all(r.ok for r in batch)
+            assert threading.active_count() == before
 
-    def test_no_deadline_runs_inline(self, searcher):
-        with SimilarityService(searcher) as service:
-            service.search(["data", "cleaning"], 0.4)
-            assert service._executor is None  # no pool was ever started
+    def test_half_open_probe_deadline_miss_degrades(self, searcher):
+        with self._slow_service(
+            searcher,
+            breaker_threshold=1,
+            breaker_reset_seconds=0.05,
+            retry_attempts=1,
+        ) as service:
+            with use_fault_plan("service.execute:transient:count=1"):
+                with pytest.raises(TransientIOError):
+                    service.search(["query", "processing"], 0.4)
+            assert service.stats()["breaker_state"] == "open"
+            time.sleep(0.1)  # past the reset: the next call is the probe
+            with use_fault_plan(SLOW_FIRST_PAGE) as plan:
+                result = service.search(
+                    ["data", "cleaning"], 0.4, deadline=0.05
+                )
+            assert plan.injected_total() == 1
+            assert result.degraded and result.ok
+            assert service.stats()["breaker_state"] == "closed"
+
+    def test_deadline_misses_neither_retry_nor_open_breaker(self, searcher):
+        threshold = 3
+        with obs_metrics.use_registry(obs_metrics.MetricsRegistry()) as reg:
+            with SimilarityService(
+                searcher,
+                config=ServiceConfig(
+                    algorithm="nra", breaker_threshold=threshold
+                ),
+            ) as service:
+                for _ in range(threshold):
+                    with use_fault_plan(SLOW_FIRST_PAGE):
+                        assert service.search(
+                            ["data", "cleaning"], 0.4, deadline=0.05
+                        ).degraded
+                stats = service.stats()
+            assert stats["deadline_misses"] == threshold
+            assert stats["breaker_state"] == "closed"
+            assert reg.total("retries_total") == 0
 
 
 class TestConcurrentUse:
@@ -433,8 +485,7 @@ class TestServiceMetrics:
 
     def test_deadline_degradation_counters(self, searcher):
         with obs_metrics.use_registry(obs_metrics.MetricsRegistry()) as reg:
-            slow = TestDeadline._slow_service(searcher, primary_sleep=1.5)
-            with slow as service:
+            with TestDeadline._slow_service(searcher) as service:
                 result = service.search(
                     ["data", "cleaning"], 0.4, deadline=0.05
                 )
