@@ -18,7 +18,10 @@ overhead is the largest relative cost) and records it in
   chaos-smoke configuration).
 
 The acceptance bar is **disabled <= 2% over stripped** (min-of-rounds,
-modes interleaved to decorrelate machine drift).  Set
+modes interleaved pass by pass to decorrelate machine drift).  A
+round's sample repeats the 30-query pass, cycling through the modes,
+until each mode has run for ``MIN_SAMPLE_SECONDS`` (0.2 s), and records
+seconds per pass: a single pass of a few ms reads machine noise.  Set
 ``REPRO_BENCH_SMOKE=1`` for CI's gross-regression tripwire: fewer
 rounds and a 10% bound, because shared runners cannot resolve 2%.
 """
@@ -35,7 +38,7 @@ from repro.eval.harness import format_table
 from repro.faults import parse_fault_spec, use_fault_plan
 from repro.faults import runtime as faults_runtime
 
-from conftest import write_result
+from conftest import MIN_SAMPLE_SECONDS, interleaved_sample, write_result
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
@@ -90,12 +93,13 @@ def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
     modes = ("stripped", "disabled", "armed")
     best = {mode: float("inf") for mode in modes}
     timed("stripped")  # warm caches (buffer pool, bytecode) off the books
-    # Interleave the modes each round so clock drift and background load
-    # hit all three equally; min-of-rounds is the least noisy estimator
-    # for "same code, how fast can it go".
+    # Interleave the modes pass by pass so clock drift and background
+    # load hit all three equally; min-of-rounds is the least noisy
+    # estimator for "same code, how fast can it go".
     for _round in range(ROUNDS):
+        sample = interleaved_sample(modes, timed)
         for mode in modes:
-            best[mode] = min(best[mode], timed(mode))
+            best[mode] = min(best[mode], sample[mode])
 
     disabled_overhead = best["disabled"] / best["stripped"] - 1.0
     armed_overhead = best["armed"] / best["stripped"] - 1.0
@@ -105,6 +109,7 @@ def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
         "workload_queries": len(default_workload),
         "tau": TAU,
         "rounds": ROUNDS,
+        "min_sample_seconds": MIN_SAMPLE_SECONDS,
         "smoke": SMOKE,
         "stripped_seconds": round(best["stripped"], 6),
         "disabled_seconds": round(best["disabled"], 6),

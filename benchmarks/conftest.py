@@ -15,6 +15,7 @@ so the regenerated rows survive pytest's output capture.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Callable, Dict, Sequence
 
 import pytest
 
@@ -23,6 +24,11 @@ from repro.data.workloads import make_workload
 from repro.eval.harness import ExperimentContext
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+MIN_SAMPLE_SECONDS = 0.2
+"""Shortest timed sample per mode in the overhead benchmarks.  One
+30-query pass takes a few ms, too short to resolve a 2% difference
+between modes, so a sample repeats the pass until it lasts this long."""
 
 
 def pytest_addoption(parser):
@@ -80,3 +86,22 @@ def write_result(results_dir: Path, name: str, text: str) -> None:
     path = results_dir / name
     path.write_text(text + "\n")
     print(f"\n[{name}]\n{text}")
+
+
+def interleaved_sample(
+    modes: Sequence[str], run_pass: Callable[[str], float]
+) -> Dict[str, float]:
+    """One timed sample per mode: mean seconds per pass.
+
+    ``run_pass(mode)`` runs one pass in ``mode`` and returns its timed
+    seconds.  Passes cycle through ``modes`` until every mode has run
+    for :data:`MIN_SAMPLE_SECONDS`, so a change in machine speed during
+    the sample (other load, clock scaling) reaches every mode alike.
+    """
+    totals = dict.fromkeys(modes, 0.0)
+    passes = 0
+    while min(totals.values()) < MIN_SAMPLE_SECONDS:
+        for mode in modes:
+            totals[mode] += run_pass(mode)
+        passes += 1
+    return {mode: total / passes for mode, total in totals.items()}

@@ -134,10 +134,16 @@ class RoundRobin:
     ``open_idf_squared`` sums idf² over the open lists.  Callers change
     the state only through :meth:`close`.  With ``lo``, every list is
     entered at its first posting with ``len >= lo`` (Length Boundedness).
+
+    Each open list's buffered page slice is kept here (``cursor.page()``),
+    so a pop inside a page reads the record locally; the pop is charged
+    at once with ``cursor.advance(1)``, which keeps the ledger and every
+    cursor's position exact at each yield.  :meth:`seek` drops the kept
+    slices, since it moves the cursors.
     """
 
     __slots__ = ("lists", "complete", "frontier_key", "frontier_contrib",
-                 "open_idf_squared", "_verify")
+                 "open_idf_squared", "_verify", "_records", "_pos", "_end")
 
     def __init__(self, lists: QueryLists, lo: Optional[float] = None) -> None:
         cursors = lists.cursors
@@ -153,6 +159,11 @@ class RoundRobin:
             if done:
                 self.open_idf_squared -= idf_squared
         self._verify = invariants_enabled()
+        # The kept page slice of each list: records[pos:end] is unread.
+        # pos == end (0 to start) means "ask the cursor for a page".
+        self._records: List[Sequence[Tuple[float, int]]] = [()] * len(lists)
+        self._pos = [0] * len(lists)
+        self._end = [0] * len(lists)
 
     def round(
         self, hi: float, past_depth: Optional[Callable[[float], bool]] = None
@@ -169,22 +180,38 @@ class RoundRobin:
         frontier_key = self.frontier_key
         frontier_contrib = self.frontier_contrib
         verify = self._verify
+        idf_squared = lists.idf_squared
+        query_len = lists.query.length
+        records_of, pos_of, end_of = self._records, self._pos, self._end
         for i, cursor in enumerate(lists.cursors):
             if complete[i]:
                 continue
-            if cursor.exhausted() or (
-                (head := cursor.peek()[0]) > hi
-                or (past_depth is not None and past_depth(head))
-            ):
+            pos = pos_of[i]
+            end = end_of[i]
+            if pos >= end:
+                page = cursor.page()
+                if page is None:
+                    self.close(i)
+                    continue
+                records_of[i], pos, end = page
+                end_of[i] = end
+            key = records_of[i][pos]
+            length = key[0]
+            if length > hi or (past_depth is not None and past_depth(length)):
                 self.close(i)
                 continue
-            length, set_id = cursor.next()
-            contribution = lists.contribution(i, length)
+            cursor.advance(1)
+            pos += 1
+            pos_of[i] = pos
+            set_id = key[1]
+            # w_i(s), as QueryLists.contribution computes it.
+            denom = length * query_len
+            contribution = idf_squared[i] / denom if denom > 0.0 else 0.0
             if verify and frontier_key[i] is not None:
                 check_frontier_monotone(lists, i, length, frontier_contrib[i])
-            frontier_key[i] = (length, set_id)
+            frontier_key[i] = key
             frontier_contrib[i] = contribution
-            if cursor.exhausted():
+            if pos >= end and cursor.exhausted():
                 self.close(i)
             yield i, length, set_id, contribution
 
@@ -198,9 +225,10 @@ class RoundRobin:
     def seek(self, lo: float) -> None:
         """Advance every open list to its first posting with ``len >= lo``;
         a list this exhausts closes at its turn in the next round."""
-        for cursor, done in zip(self.lists.cursors, self.complete):
-            if not done:
+        for i, cursor in enumerate(self.lists.cursors):
+            if not self.complete[i]:
                 cursor.seek_length_ge(lo)
+                self._pos[i] = self._end[i] = 0
 
     def threshold(self) -> float:
         """``F = Σ_i w_i(f_i)`` over the open lists (a closed list holds 0):

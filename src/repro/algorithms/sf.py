@@ -19,7 +19,10 @@ Bookkeeping is a single merge pass per list: both the list postings and the
 candidates are in increasing ``(len, id)`` order, so updating scores,
 detecting absences (order preservation), and pruning is one linear co-walk —
 no per-round hash-table scans at all.  This is why SF wins on wall-clock in
-the paper even when Hybrid reads slightly fewer elements.
+the paper even when Hybrid reads slightly fewer elements.  Each list is read
+a buffered page at a time (``cursor.page()``), in a local loop that charges
+only the postings it consumed (``cursor.advance``); the stop posting's page
+is entered and charged, the stop posting itself is not.
 """
 
 from __future__ import annotations
@@ -117,35 +120,66 @@ class ShortestFirst(SelectionAlgorithm):
             )
             if self.use_length_bounds:
                 cursor.seek_length_ge(lo)
-            mu = min(cutoffs[k], hi)
+            cutoff = cutoffs[k]
+            mu = min(cutoff, hi)
             suffix_after = potential[k + 1]
+            idf_squared = lists.idf_squared[i]
             new_cands: List[Candidate] = []
+            discover = new_cands.append
+            lookup = by_id.get
             ptr = 0  # co-walk pointer into sorted_cands
             scan_start = cursor.position
             ids_before = len(by_id)
 
-            while not cursor.exhausted():
-                length, set_id = cursor.peek()
-                if length > mu and length > self._live_tail_length(
-                    sorted_cands, by_id
-                ):
-                    break  # Algorithm 3 stop: len(s) > max(max_len(C), µ_i)
-                cursor.next()
-                key = (length, set_id)
-                # Candidates strictly before this posting were skipped by
-                # list i: rule the list out and re-check viability.
-                ptr = self._pass_skipped(
-                    lists, tau, sorted_cands, by_id, ptr, key, suffix_after
-                )
-                cand = by_id.get(set_id)
-                if cand is not None:
-                    cand.see(i, lists.contribution(i, length))
-                elif length <= cutoffs[k]:
-                    cand = Candidate(set_id, length)
-                    cand.see(i, lists.contribution(i, length))
-                    new_cands.append(cand)
-                    by_id[set_id] = cand
-                # Else: read only to complete existing scores; discard.
+            # max_len(C), recomputed only after the co-walk may have
+            # pruned: nothing else changes sorted_cands during the scan.
+            tail = None
+            num_sorted = len(sorted_cands)
+
+            # Page by page: read the buffered slice locally, then charge
+            # the postings consumed from it with one advance().
+            stopped = False
+            while not stopped:
+                page = cursor.page()
+                if page is None:
+                    break
+                records, start, end = page
+                j = start
+                while j < end:
+                    length, set_id = records[j]
+                    if length > mu:
+                        if tail is None:
+                            tail = self._live_tail_length(sorted_cands, by_id)
+                            num_sorted = len(sorted_cands)
+                        if length > tail:
+                            # Algorithm 3 stop: len(s) > max(max_len(C), µ_i)
+                            stopped = True
+                            break
+                    j += 1
+                    # Candidates strictly before this posting were skipped
+                    # by list i: rule the list out and re-check viability.
+                    if ptr < num_sorted:
+                        head = sorted_cands[ptr]
+                        if head.length < length or (
+                            head.length == length and head.set_id < set_id
+                        ):
+                            ptr = self._pass_skipped(
+                                lists, tau, sorted_cands, by_id, ptr,
+                                (length, set_id), suffix_after,
+                            )
+                            tail = None
+                    cand = lookup(set_id)
+                    if cand is None and length > cutoff:
+                        continue  # read only to complete existing scores
+                    # w_i(s), as QueryLists.contribution computes it.
+                    denom = length * query_len
+                    contribution = idf_squared / denom if denom > 0.0 else 0.0
+                    if cand is None:
+                        cand = Candidate(set_id, length)
+                        discover(cand)
+                        by_id[set_id] = cand
+                    cand.see(i, contribution)
+                cursor.advance(j - start)
 
             # Everything not reached by the co-walk is also absent from
             # list i (the list stopped past every candidate key).

@@ -2,9 +2,9 @@
 
 A :class:`PreparedQuery` snapshots everything the list-merging algorithms
 need about a query: the distinct tokens, their (squared) idfs, the query's
-normalized length, the decreasing-idf processing order used by SF, and
-helpers evaluating the Theorem 1 window and the ``λ_i`` cutoffs for a given
-threshold.
+normalized length, the decreasing-idf processing order used by SF, and a
+helper evaluating the Theorem 1 window for a given threshold (SF's ``λ_i``
+cutoffs are :func:`repro.core.properties.lambda_cutoffs`).
 
 Preparing a query is independent of any index, so the same prepared query
 can be executed by every algorithm — which is exactly how the benchmark
@@ -13,10 +13,10 @@ harness uses it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import EmptyQueryError
-from .properties import lambda_cutoffs, length_bounds
+from .properties import length_bounds
 from .weights import IdfStatistics
 
 
@@ -91,11 +91,6 @@ class PreparedQuery:
     def bounds(self, tau: float) -> Tuple[float, float]:
         """The Theorem 1 admissible length window for threshold ``tau``."""
         return length_bounds(self.length, tau)
-
-    def cutoffs(self, tau: float) -> List[float]:
-        """SF's ``λ_i`` cutoffs for threshold ``tau`` (Equation 2), aligned
-        with :attr:`tokens` (which is already in decreasing idf order)."""
-        return lambda_cutoffs(self.idf_squared, self.length, tau)
 
     def __repr__(self) -> str:
         return (

@@ -660,11 +660,15 @@ class SimilarityService:
         for i, query in enumerate(prepared):
             if query is None:
                 continue
+            looked = time.perf_counter()
             key = result_cache_key(tuple(queries[i]), tau, algorithm)
             if self._results is not None:
                 hit = self._results.get(key, version)
                 if hit is not None:
-                    out[i] = ServiceResult(hit, tau, algorithm, cached=True)
+                    out[i] = ServiceResult(
+                        hit, tau, algorithm, cached=True,
+                        wall_seconds=time.perf_counter() - looked,
+                    )
                     continue
             pending.setdefault(key, []).append(i)
 
@@ -677,8 +681,10 @@ class SimilarityService:
 
         # 3. Execute one query per distinct key, in that order, in this
         #    thread.  Each deadline clock starts when its query starts,
-        #    so no query is charged for time it spent queued.
+        #    so no query is charged for time it spent queued; so does
+        #    its wall clock, which its coalesced duplicates report too.
         for key, indices in order:
+            started = time.perf_counter()
             primary = self._settle(
                 prepared[indices[0]],
                 tau,
@@ -688,6 +694,7 @@ class SimilarityService:
                 version,
                 copies=len(indices),
             )
+            primary.wall_seconds = time.perf_counter() - started
             out[indices[0]] = primary
             for duplicate in indices[1:]:
                 out[duplicate] = ServiceResult(
@@ -697,6 +704,7 @@ class SimilarityService:
                     coalesced=True,
                     degraded=primary.degraded,
                     degraded_tau=primary.degraded_tau,
+                    wall_seconds=primary.wall_seconds,
                 )
                 self._count(coalesced=1)
         self._count(

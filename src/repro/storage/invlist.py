@@ -30,6 +30,8 @@ import bisect
 import contextlib
 import copy
 import gc
+import itertools
+import operator
 import threading
 from typing import (
     Any,
@@ -131,7 +133,8 @@ class WeightOrderCursor(SequentialCursor):
     entry with ``length >= lo`` — via the skip list (a few jumps plus a short
     sequential tail, since capped skip lists are thinned) when available and
     enabled, or by scanning and charging every discarded element otherwise
-    (the NSL mode of Figure 9).
+    (the NSL mode of Figure 9).  The tail is walked a page at a time
+    through ``page``/``advance``.
     """
 
     __slots__ = ("_postings", "_use_skip")
@@ -161,9 +164,11 @@ class WeightOrderCursor(SequentialCursor):
     def seek_length_ge(self, lo: float) -> None:
         """Advance to the first entry with length >= lo (no-op if already
         there)."""
-        if self.exhausted():
+        page = self.page()
+        if page is None:
             return
-        if self.peek()[0] >= lo:
+        records, pos, _end = page
+        if records[pos][0] >= lo:
             return
         tracer = obs_trace.current()
         before = self._pos
@@ -173,8 +178,20 @@ class WeightOrderCursor(SequentialCursor):
                 self.jump(target)
             # Thinned skip lists land at or before the true boundary;
             # the walk below finishes the seek.
-        while not self.exhausted() and self.peek()[0] < lo:
-            self.next()
+        # A linear walk, one page at a time: it stops at the first
+        # posting with length >= lo even on a corrupt (unsorted) list,
+        # which the checked cursor's post-seek test relies on.
+        while True:
+            page = self.page()
+            if page is None:
+                break
+            records, pos, end = page
+            stop = pos
+            while stop < end and records[stop][0] < lo:
+                stop += 1
+            self.advance(stop - pos)
+            if stop < end:
+                break
         if tracer is not None:
             tracer.event(
                 "list.seek",
@@ -194,7 +211,8 @@ class CheckedWeightOrderCursor(WeightOrderCursor):
     increase along a sorted list, verifying each consumed posting
     against the previous one also certifies Magnitude Boundedness: the
     per-token contribution ``idf² / (len·len(q))`` cannot increase while
-    lengths do not decrease.
+    lengths do not decrease.  ``next`` checks one posting; ``advance``
+    checks the consumed slice in one pass, before consuming it.
     """
 
     __slots__ = ("_last_key",)
@@ -208,18 +226,38 @@ class CheckedWeightOrderCursor(WeightOrderCursor):
         super().__init__(postings, stats, use_skip_list)
         self._last_key: Optional[Tuple[float, int]] = None
 
+    def _out_of_order(
+        self, key: Tuple[float, int], last: Tuple[float, int]
+    ) -> ContractViolation:
+        return ContractViolation(
+            "order-preservation",
+            f"list {self.token!r} yielded {key!r} after {last!r}; "
+            "weight-ordered lists must strictly increase by (len, id)",
+        )
+
     def next(self) -> Tuple[float, int]:
         length, set_id = super().next()
         key = (length, set_id)
         if self._last_key is not None and key <= self._last_key:
-            raise ContractViolation(
-                "order-preservation",
-                f"list {self.token!r} yielded {key!r} after "
-                f"{self._last_key!r}; weight-ordered lists must strictly "
-                "increase by (len, id)",
-            )
+            raise self._out_of_order(key, self._last_key)
         self._last_key = key
         return length, set_id
+
+    def advance(self, count: int) -> None:
+        """Consume ``count`` postings after checking, in one pass, that
+        they strictly increase from the last one consumed."""
+        if count > 0:
+            keys = self._records[self._pos:self._pos + count]
+            if self._last_key is not None:
+                keys.insert(0, self._last_key)
+            following = itertools.islice(keys, 1, None)
+            if not all(map(operator.lt, keys, following)):
+                k = next(
+                    k for k in range(1, len(keys)) if keys[k - 1] >= keys[k]
+                )
+                raise self._out_of_order(keys[k], keys[k - 1])
+            self._last_key = keys[-1]
+        super().advance(count)
 
     def seek_length_ge(self, lo: float) -> None:
         super().seek_length_ge(lo)

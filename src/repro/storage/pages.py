@@ -12,14 +12,17 @@ harness reports those counters alongside wall-clock time.
 A :class:`PagedFile` stores fixed-size records in fixed-capacity pages.  A
 sequential cursor charges one *sequential page read* each time it crosses a
 page boundary; :meth:`PagedFile.fetch` charges one *random page read* per
-call (modelling a seek).  Sizes in bytes are tracked so Figure 5 (index
+call (modelling a seek).  Hot loops read a whole buffered page at once
+(:meth:`SequentialCursor.page` / :meth:`SequentialCursor.advance`) and
+charge the postings they consume in bulk, so the ledger is the same as
+one ``next()`` per posting.  Sizes in bytes are tracked so Figure 5 (index
 sizes) can be regenerated from the structures themselves.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import DeadlineExceeded, StorageError
 from ..faults import runtime as faults_runtime
@@ -227,7 +230,14 @@ class SequentialCursor:
     skip-list jump or an index-guided skip would cost on disk).  The
     cursor sees the records the file held when it was opened.  The
     weight- and id-order list cursors of :mod:`repro.storage.invlist`
-    are subclasses, so a posting read is one frame.
+    are subclasses.
+
+    Two ways to read: ``peek``/``next``, one posting per call, and
+    ``page``/``advance``, which hand a loop the unread rest of the
+    buffered page and charge what it consumed with one call.  The
+    per-posting loops of SF, :class:`~repro.algorithms.kernel.RoundRobin`
+    and the length seek use the second; both enter pages in the same
+    order through :meth:`_enter_page` and charge the same ledger.
     """
 
     __slots__ = ("_file", "_records", "_len", "_cap", "_stats", "_pos",
@@ -294,6 +304,30 @@ class SequentialCursor:
             self._stats.charge_element()
         self._pos = pos + 1
         return self._records[pos]
+
+    def page(self) -> Optional[Tuple[List[Any], int, int]]:
+        """The unread rest of the buffered page, as ``(records, pos, end)``.
+
+        ``records[pos:end]`` are the postings from the cursor's position
+        to the end of its page; nothing is copied.  With no page
+        buffered, the next one is entered first (as :meth:`peek` would);
+        ``None`` once the cursor is exhausted.  Reading the slice charges
+        no element: :meth:`advance` charges what the caller consumed.
+        """
+        pos = self._pos
+        if pos >= self._page_end:
+            if pos >= self._len:
+                return None
+            self._enter_page(False)
+        return self._records, pos, self._page_end
+
+    def advance(self, count: int) -> None:
+        """Consume ``count`` records of the buffered page (``count`` must
+        not run past the ``end`` that :meth:`page` returned), charging
+        them as ``count`` element reads."""
+        if self._stats is not None:
+            self._stats.charge_element(count)
+        self._pos += count
 
     def skip(self, count: int = 1) -> None:
         """Advance without reading (no element charge; pages skipped are not

@@ -129,17 +129,21 @@ class SkipList:
         # Start before the first kept key; at each level walk right while the
         # next tower's key is still below the target, then drop a level.
         idx = -1
+        visited = 0
+        keys = self._keys
         for level in reversed(self._levels):
             j = bisect.bisect_right(level, idx)
-            while j < len(level):
+            towers = len(level)
+            while j < towers:
                 tower = level[j]
-                if stats is not None:
-                    stats.charge_skip_jump()
-                if self._keys[tower] < key:
+                visited += 1
+                if keys[tower] < key:
                     idx = tower
                     j += 1
                 else:
                     break
+        if stats is not None:
+            stats.charge_skip_jump(visited)
         # idx is the last kept key < target (or -1).  The first entry that
         # can be >= target sits right after it; with stride 1 this is exact,
         # with thinning it is a conservative lower bound.

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.contracts import ContractViolation, set_invariant_checking
 from repro.core.collection import SetCollection
 from repro.core.errors import IndexNotBuiltError, StorageError
+from repro.core.search import SetSimilaritySearcher
 from repro.faults import use_fault_plan
 from repro.storage.buffer import BufferedIOStats
 from repro.storage.exthash import ExtendibleHash
@@ -254,11 +256,13 @@ def _cursor_scenarios(draw):
     ops = draw(
         st.lists(
             st.tuples(
-                st.sampled_from(["peek", "next", "seek"]),
+                st.sampled_from(["peek", "next", "seek", "slice"]),
                 st.integers(0, 2 * len(_VOCAB)),  # which cursor
                 # Seek target as % of the longest set; the shortest sets
                 # are about 40% as long, so lower targets are no-ops.
                 st.integers(30, 110),
+                # Records a slice consumes, clipped to the page.
+                st.integers(1, 7),
             ),
             min_size=20,
             max_size=100,
@@ -306,7 +310,8 @@ def _drive(scenario, stats, model_stats):
             entries, ("id", token), layout["page_capacity"], model_stats
         )
         pairs.append((index.id_cursor(token, stats), model))
-    for op, which, pct in ops:
+    capacity = layout["page_capacity"]
+    for op, which, pct, count in ops:
         cursor, model = pairs[which % len(pairs)]
         if op == "seek":
             if not hasattr(cursor, "seek_length_ge"):
@@ -314,6 +319,20 @@ def _drive(scenario, stats, model_stats):
             lo = longest * pct / 100.0
             cursor.seek_length_ge(lo)
             model.seek_length_ge(lo)
+        elif op == "slice":
+            page = cursor.page()
+            if model.exhausted():
+                assert page is None
+            else:
+                records, pos, end = page
+                assert pos == model.pos
+                page_end = (model.pos // capacity + 1) * capacity
+                assert end == min(page_end, len(model.entries))
+                k = min(count, end - pos)
+                assert records[pos:pos + k] == [
+                    model.next() for _ in range(k)
+                ]
+                cursor.advance(k)
         elif model.exhausted():
             with pytest.raises(StorageError):
                 getattr(cursor, op)()
@@ -345,6 +364,73 @@ class TestCursorEquivalence:
             _drive(scenario, stats, IOStats())
         fires = [e for e in plan.journal if e[0] == "storage.read_page"]
         assert len(fires) == stats.sequential_pages + stats.random_pages
+
+
+class TestSliceOrderCheck:
+    """A checked cursor checks Order Preservation over each consumed
+    slice, so a list with two swapped postings is rejected by
+    ``advance`` as it was by ``next``, and so is an armed SF scan."""
+
+    N_POSTINGS = 8
+
+    def _searcher(self):
+        # Eight sets holding 'b' with strictly increasing lengths, plus
+        # four without it so 'b' keeps a non-zero idf.
+        sets = [
+            ["b"] + [f"pad{i}_{j}" for j in range(i + 1)]
+            for i in range(self.N_POSTINGS)
+        ]
+        sets += [[f"other{i}"] for i in range(4)]
+        return SetSimilaritySearcher(SetCollection.from_token_sets(sets))
+
+    @staticmethod
+    def _swap(searcher, i, j):
+        records = searcher.index._postings["b"].weight_file._records
+        records[i], records[j] = records[j], records[i]
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (3, 6), (6, 7)])
+    def test_advance_rejects_swapped_postings(self, i, j):
+        searcher = self._searcher()
+        self._swap(searcher, i, j)
+        cursor = searcher.index.cursor("b", IOStats(), checked=True)
+        records, pos, end = cursor.page()
+        with pytest.raises(ContractViolation) as caught:
+            cursor.advance(end - pos)
+        assert caught.value.contract == "order-preservation"
+
+    def test_advance_checks_against_the_last_key(self):
+        searcher = self._searcher()
+        self._swap(searcher, 2, 3)
+        cursor = searcher.index.cursor("b", IOStats(), checked=True)
+        cursor.page()
+        cursor.advance(3)  # in order; position 3 now holds a smaller key
+        with pytest.raises(ContractViolation) as caught:
+            cursor.advance(1)
+        assert caught.value.contract == "order-preservation"
+        assert cursor.position == 3
+
+    def test_plain_cursor_does_not_check(self):
+        searcher = self._searcher()
+        self._swap(searcher, 0, 1)
+        cursor = searcher.index.cursor("b", IOStats(), checked=False)
+        records, pos, end = cursor.page()
+        cursor.advance(end - pos)
+        assert cursor.exhausted()
+
+    def test_armed_sf_rejects_swapped_postings(self):
+        previous = set_invariant_checking(True)
+        try:
+            clean = self._searcher()
+            # The clean list is scanned whole, so the swap is consumed.
+            result = clean.search(["b"], 0.1, algorithm="sf")
+            assert result.stats.elements_read == self.N_POSTINGS
+            searcher = self._searcher()
+            self._swap(searcher, 4, 5)
+            with pytest.raises(ContractViolation) as caught:
+                searcher.search(["b"], 0.1, algorithm="sf")
+            assert caught.value.contract == "order-preservation"
+        finally:
+            set_invariant_checking(previous)
 
 
 # ---------------------------------------------------------------------------

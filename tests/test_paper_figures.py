@@ -19,6 +19,7 @@ import math
 import pytest
 
 from repro.algorithms import make_algorithm
+from repro.core.properties import lambda_cutoffs
 from repro.core.query import PreparedQuery
 from repro.core.weights import IdfStatistics
 from repro.storage.invlist import (
@@ -147,7 +148,7 @@ class TestFigure3:
         assert first_id == 1
         assert first_len == pytest.approx(15.1523, abs=1e-3)
         # λ cutoffs: λ1 = 21.21, λ2 = 10.6, λ3 = 2.12.
-        lam = query.cutoffs(1.0)
+        lam = lambda_cutoffs(query.idf_squared, query.length, 1.0)
         assert lam[0] == pytest.approx(21.2132, abs=1e-3)
         assert lam[1] == pytest.approx(10.6066, abs=1e-3)
         assert lam[2] == pytest.approx(2.1213, abs=1e-3)
@@ -177,7 +178,7 @@ class TestFigure4:
     def test_paper_numbers_reproduced(self):
         index, query = figure4()
         assert query.length == pytest.approx(20.1246, abs=1e-3)
-        lam = query.cutoffs(1.0)
+        lam = lambda_cutoffs(query.idf_squared, query.length, 1.0)
         assert lam[0] == pytest.approx(20.1246, abs=1e-3)
         assert lam[1] == pytest.approx(8.9443, abs=1e-3)
         assert lam[2] == pytest.approx(2.2361, abs=1e-3)

@@ -6,7 +6,11 @@ import pytest
 from repro import SetCollection
 from repro.algorithms.base import QueryLists
 from repro.core.errors import EmptyQueryError
-from repro.core.properties import best_case_score, magnitude_upper_bound
+from repro.core.properties import (
+    best_case_score,
+    lambda_cutoffs,
+    magnitude_upper_bound,
+)
 from repro.core.query import PreparedQuery, prepare
 from repro.core.weights import IdfStatistics
 from repro.storage.invlist import InvertedIndex
@@ -85,7 +89,7 @@ class TestQueryMath:
 
     def test_cutoffs_align_with_token_order(self, stats):
         q = PreparedQuery(["common", "rare", "mid"], stats)
-        lam = q.cutoffs(0.8)
+        lam = lambda_cutoffs(q.idf_squared, q.length, 0.8)
         assert len(lam) == 3
         assert lam[0] >= lam[1] >= lam[2]
         expected_last = q.idf_squared[2] / (0.8 * q.length)

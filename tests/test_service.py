@@ -235,6 +235,23 @@ class TestBatch:
         batch = service.search_batch(self.BATCH, 0.3)
         assert batch[0].cached
 
+    def test_every_slot_reports_its_wall_clock(self, service):
+        service.search(["data", "cleaning"], 0.3)
+        batch = service.search_batch(
+            [
+                ["data", "cleaning"],  # replayed from the result cache
+                ["query", "processing"],  # executed
+                ["query", "processing"],  # coalesced into slot 1
+            ],
+            0.3,
+        )
+        replay, fresh, duplicate = batch
+        assert replay.cached
+        assert not fresh.cached and not fresh.coalesced
+        assert duplicate.coalesced
+        assert all(slot.wall_seconds > 0.0 for slot in batch)
+        assert duplicate.wall_seconds == fresh.wall_seconds
+
     def test_empty_query_becomes_error_slot(self, service):
         batch = service.search_batch([["data"], []], 0.3)
         assert batch[0].ok
