@@ -74,11 +74,6 @@ class AlgorithmResult:
     ``elements_total`` is the combined length of the query's inverted lists
     — the denominator of the paper's *pruning power* metric
     (``1 - elements_read / elements_total``).
-
-    ``shared_stats`` marks a result whose ledger is shared with other
-    queries (batched execution charges one ledger for the whole batch), so
-    ``elements_read > elements_total`` is expected there rather than an
-    accounting bug.
     """
 
     __slots__ = (
@@ -88,7 +83,6 @@ class AlgorithmResult:
         "elements_total",
         "wall_seconds",
         "peak_candidates",
-        "shared_stats",
     )
 
     def __init__(
@@ -99,7 +93,6 @@ class AlgorithmResult:
         elements_total: int,
         wall_seconds: float = 0.0,
         peak_candidates: int = 0,
-        shared_stats: bool = False,
     ) -> None:
         self.algorithm = algorithm
         self.results = sorted(results, key=lambda r: (-r.score, r.set_id))
@@ -107,7 +100,6 @@ class AlgorithmResult:
         self.elements_total = elements_total
         self.wall_seconds = wall_seconds
         self.peak_candidates = peak_candidates
-        self.shared_stats = shared_stats
 
     @property
     def pruning_power(self) -> float:
@@ -115,15 +107,13 @@ class AlgorithmResult:
         if self.elements_total == 0:
             return 1.0
         read = self.stats.elements_read
-        if read > self.elements_total and not self.shared_stats:
-            if invariants_enabled():
-                raise ContractViolation(
-                    "io-accounting",
-                    f"{self.algorithm} charged {read} element reads against "
-                    f"lists totalling {self.elements_total} entries; a "
-                    "per-query ledger over-counted (pass shared_stats=True "
-                    "for ledgers deliberately shared across queries)",
-                )
+        if read > self.elements_total and invariants_enabled():
+            raise ContractViolation(
+                "io-accounting",
+                f"{self.algorithm} charged {read} element reads against "
+                f"lists totalling {self.elements_total} entries; a "
+                "per-query ledger over-counted",
+            )
         read = min(read, self.elements_total)
         return 1.0 - read / self.elements_total
 

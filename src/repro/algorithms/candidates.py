@@ -100,9 +100,6 @@ class HashCandidateSet:
         """Snapshot for iteration while mutating the set."""
         return list(self._by_id.values())
 
-    def clear(self) -> None:
-        self._by_id.clear()
-
 
 class PartitionedCandidateSet:
     """Section VII's per-list partitioned organization (used by Hybrid).

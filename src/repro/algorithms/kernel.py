@@ -1,7 +1,7 @@
 """The Section IV bounds kernel and the round-robin read loop.
 
-iNRA, Hybrid, iTA and top-k read lists round-robin with the same per-list
-state, which :class:`RoundRobin` owns: ``complete[i]`` (list ``i`` can
+NRA, TA, iNRA, Hybrid, iTA and top-k read lists round-robin with the same
+per-list state, which :class:`RoundRobin` owns: ``complete[i]`` (list ``i`` can
 yield nothing more) and ``frontier_key[i]`` (the ``(len, id)`` key of the
 last posting popped from list ``i``, ``None`` before the first).  Order
 Preservation (Property 1) turns that state into "list ``i`` cannot contain

@@ -19,7 +19,8 @@ is found.  Both are on by default here (``lazy_scans``); construct with
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import math
+from typing import List, Tuple
 
 from ..storage.invlist import InvertedIndex
 from .base import (
@@ -29,6 +30,7 @@ from .base import (
     register_algorithm,
 )
 from .candidates import Candidate, HashCandidateSet
+from .kernel import RoundRobin
 
 
 @register_algorithm
@@ -58,42 +60,24 @@ class NRA(SelectionAlgorithm):
         all_mask = (1 << n) - 1
         candidates = HashCandidateSet()
         results: List[SearchResult] = []
+        rr = RoundRobin(lists)
         # frontier[i]: contribution of the last element read from list i
-        # (an upper bound on everything unread there); None once exhausted.
-        frontier: List[Optional[float]] = [None] * n
-        for i, cursor in enumerate(lists.cursors):
-            first_len, _ = cursor.peek()
-            frontier[i] = lists.contribution(i, first_len)
+        # (an upper bound on everything unread there); 0 once exhausted.
+        frontier = rr.frontier_contrib
+        complete = rr.complete
 
         while True:
-            active = False
-            for i, cursor in enumerate(lists.cursors):
-                if cursor.exhausted():
-                    frontier[i] = None
-                    continue
-                active = True
-                length, set_id = cursor.next()
-                frontier[i] = lists.contribution(i, length)
+            for i, length, set_id, contribution in rr.round(math.inf):
                 cand = candidates.get(set_id)
                 if cand is None:
                     cand = candidates.add(Candidate(set_id, length))
-                cand.see(i, lists.contribution(i, length))
-                if cursor.exhausted():
-                    frontier[i] = None
+                cand.see(i, contribution)
 
-            f_threshold = sum(c for c in frontier if c is not None)
+            f_threshold = rr.threshold()
             exhausted_mask = 0
             for i in range(n):
-                if frontier[i] is None:
+                if complete[i]:
                     exhausted_mask |= 1 << i
-
-            if not active:
-                # All lists consumed: every lower bound is the exact score.
-                for cand in candidates.scan():
-                    if cand.lower >= tau:
-                        results.append(SearchResult(cand.set_id, cand.lower))
-                candidates.clear()
-                break
 
             if self.lazy_scans and f_threshold >= tau and exhausted_mask == 0:
                 # Section VIII-A optimization: pruning cannot empty the
@@ -113,7 +97,7 @@ class NRA(SelectionAlgorithm):
                 for i in range(n):
                     bit = 1 << i
                     if not (cand.seen_mask | cand.dead_mask) & bit:
-                        upper += frontier[i] or 0.0
+                        upper += frontier[i]
                 if upper < tau:
                     candidates.remove(cand.set_id)
                 elif self.lazy_scans:
@@ -122,6 +106,8 @@ class NRA(SelectionAlgorithm):
 
             # Terminate only when no candidate is alive AND no unseen set
             # can still qualify (an unseen set's score is bounded by F).
+            # Once every list is exhausted, every candidate resolves above
+            # and F is 0, below any tau.
             if len(candidates) == 0 and f_threshold < tau:
                 break
 

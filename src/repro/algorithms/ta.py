@@ -17,7 +17,8 @@ sharply with query size.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+import math
+from typing import List, Set, Tuple
 
 from ..storage.invlist import InvertedIndex
 from .base import (
@@ -26,6 +27,7 @@ from .base import (
     SelectionAlgorithm,
     register_algorithm,
 )
+from .kernel import RoundRobin
 
 
 @register_algorithm
@@ -54,35 +56,20 @@ class TA(SelectionAlgorithm):
         return score
 
     def _run(self, lists: QueryLists, tau: float) -> Tuple[List[SearchResult], int]:
-        n = len(lists)
-        if n == 0:
+        if len(lists) == 0:
             return [], 0
         results: List[SearchResult] = []
         seen: Set[int] = set()
-        frontier: List[Optional[float]] = [None] * n
+        rr = RoundRobin(lists)
 
         while True:
-            active = False
-            for i, cursor in enumerate(lists.cursors):
-                if cursor.exhausted():
-                    frontier[i] = None
-                    continue
-                active = True
-                length, set_id = cursor.next()
-                frontier[i] = (
-                    lists.contribution(i, length)
-                    if not cursor.exhausted()
-                    else None
-                )
+            for i, length, set_id, _contribution in rr.round(math.inf):
                 if set_id in seen:
                     continue
                 seen.add(set_id)
                 score = self._complete_score(lists, i, set_id, length)
                 if score >= tau:
                     results.append(SearchResult(set_id, score))
-            if not active:
-                break
-            f_threshold = sum(c for c in frontier if c is not None)
-            if f_threshold < tau:
+            if rr.done() or rr.threshold() < tau:
                 break
         return results, len(seen)

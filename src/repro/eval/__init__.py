@@ -7,7 +7,6 @@ from .harness import (
     WorkloadSummary,
     format_table,
     parse_engine_spec,
-    run_batch,
 )
 from .plots import bar_chart, line_chart, sparkline
 from .report import build_report, coverage, write_report
@@ -28,7 +27,6 @@ __all__ = [
     "WorkloadSummary",
     "format_table",
     "parse_engine_spec",
-    "run_batch",
     "bar_chart",
     "line_chart",
     "sparkline",

@@ -304,41 +304,3 @@ def rows_to_csv(rows: Iterable[Dict[str, Any]], path) -> int:
             writer.writerow(row)
     return len(rows)
 
-
-def run_batch(
-    context: ExperimentContext,
-    engine_spec: str,
-    query_texts: Sequence[str],
-    tau: float,
-    processes: Optional[int] = None,
-) -> List[Optional[AlgorithmResult]]:
-    """Execute a query batch, optionally across worker processes.
-
-    The paper lists parallel execution as future work; queries are
-    independent, so batch-level parallelism is the natural library-side
-    realization.  With ``processes=None`` (or 1) the batch runs inline;
-    otherwise a fork-based pool shares the index copy-on-write.
-    """
-    if not processes or processes <= 1:
-        return [
-            context.run_query(engine_spec, text, tau)
-            for text in query_texts
-        ]
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    global _BATCH_STATE
-    _BATCH_STATE = (context, engine_spec, tau)
-    try:
-        with ctx.Pool(processes) as pool:
-            return pool.map(_batch_worker, list(query_texts))
-    finally:
-        _BATCH_STATE = None
-
-
-_BATCH_STATE: Optional[Tuple[ExperimentContext, str, float]] = None
-
-
-def _batch_worker(query_text: str) -> Optional[AlgorithmResult]:
-    context, engine_spec, tau = _BATCH_STATE
-    return context.run_query(engine_spec, query_text, tau)

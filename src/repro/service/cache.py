@@ -1,16 +1,11 @@
-"""Bounded LRU caches for the query service layer.
+"""The bounded LRU result cache of the query service layer.
 
-Two things are worth caching between selection queries:
+A selection is a pure function of ``(query tokens, tau, algorithm)``
+*for a fixed corpus*, so answers can be replayed until the corpus
+changes.  Preparing a query (idf² per token and ``len(q)``) is cheap
+next to running it, so only results are cached.
 
-* **prepared queries** — :class:`~repro.core.query.PreparedQuery`
-  construction sorts the distinct tokens, looks up every idf weight and
-  computes the normalized query length (Theorem 1's ``len(q)``); for a
-  repeated or overlapping query this work is identical every time;
-* **results** — a selection is a pure function of
-  ``(query tokens, tau, algorithm)`` *for a fixed corpus*, so answers can
-  be replayed until the corpus changes.
-
-Both caches are generation-checked: every entry is stamped with the
+The cache is generation-checked: every entry is stamped with the
 backend *version token* (see :meth:`repro.core.collection.SetCollection.generation`
 and :attr:`repro.core.updatable.UpdatableSearcher.version`) current when
 it was stored, and a lookup under a different version is a miss.  A
@@ -146,8 +141,3 @@ def result_cache_key(
     """
     return (frozenset(tokens), tau, algorithm)
 
-
-def prepared_cache_key(tokens: Tuple[str, ...]) -> Hashable:
-    """Prepared queries depend only on the distinct token set (plus the
-    corpus statistics, which the version stamp covers)."""
-    return frozenset(tokens)

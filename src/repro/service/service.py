@@ -5,14 +5,12 @@ deployment amortizes work *across* queries.  :class:`SimilarityService`
 wraps a :class:`~repro.core.search.SetSimilaritySearcher` (or an
 :class:`~repro.core.updatable.UpdatableSearcher`) behind a facade that
 
-* caches **prepared queries** (token idf weights, ``len(q)``, the
-  Theorem 1 window machinery) and **results** in generation-checked LRU
-  caches (:mod:`repro.service.cache`) — any index mutation changes the
-  searcher's version token and lazily invalidates both;
-* executes **batches** in the calling thread, sorting the batch by
-  each query's rarest tokens so queries sharing hot lists run adjacently
-  — better buffer-pool locality — and coalescing identical in-batch
-  queries so a burst of duplicates costs one execution;
+* caches **results** in a generation-checked LRU cache
+  (:mod:`repro.service.cache`) — any index mutation changes the
+  searcher's version token and lazily invalidates it;
+* executes **batches** in the calling thread: cache hits are replayed,
+  identical in-batch misses are coalesced so a burst of duplicates costs
+  one execution, and only the distinct misses are prepared and run;
 * enforces per-query **deadlines** with graceful degradation: the
   deadline rides on the query's ``IOStats`` ledger and stops the query
   at its next page entry (:class:`~repro.core.errors.DeadlineExceeded`);
@@ -47,11 +45,7 @@ from ..core.query import PreparedQuery
 from ..core.search import SetSimilaritySearcher
 from ..faults import runtime as faults_runtime
 from ..obs import metrics as obs_metrics
-from .cache import (
-    GenerationLRUCache,
-    prepared_cache_key,
-    result_cache_key,
-)
+from .cache import GenerationLRUCache, result_cache_key
 from .resilience import (
     AdmissionController,
     CircuitBreaker,
@@ -79,8 +73,8 @@ class ServiceConfig:
         Accepted and ignored: every query runs in its caller's thread.
         It is neither stored nor validated, and stays only so existing
         callers that pass it keep working.
-    result_cache_size / prepared_cache_size:
-        LRU capacities; ``0`` disables the respective cache.
+    result_cache_size:
+        Result-cache capacity; ``0`` disables the cache.
     deadline_seconds:
         Default per-query deadline; ``None`` means no deadline.  The
         clock starts when the query starts executing and stops it at
@@ -104,7 +98,6 @@ class ServiceConfig:
     __slots__ = (
         "algorithm",
         "result_cache_size",
-        "prepared_cache_size",
         "deadline_seconds",
         "degrade_tighten",
         "retry_attempts",
@@ -121,7 +114,6 @@ class ServiceConfig:
         algorithm: str = "sf",
         max_workers: Optional[int] = None,
         result_cache_size: int = 1024,
-        prepared_cache_size: int = 4096,
         deadline_seconds: Optional[float] = None,
         degrade_tighten: float = 0.5,
         retry_attempts: int = 3,
@@ -147,7 +139,6 @@ class ServiceConfig:
             raise ConfigurationError("max_inflight must be >= 1")
         self.algorithm = algorithm
         self.result_cache_size = result_cache_size
-        self.prepared_cache_size = prepared_cache_size
         self.deadline_seconds = deadline_seconds
         self.degrade_tighten = degrade_tighten
         self.retry_attempts = retry_attempts
@@ -291,13 +282,6 @@ class SimilarityService:
             if self.config.result_cache_size
             else None
         )
-        self._prepared = (
-            GenerationLRUCache(
-                self.config.prepared_cache_size, name="prepared"
-            )
-            if self.config.prepared_cache_size
-            else None
-        )
         self._counter_lock = threading.Lock()
         self._retry = RetryPolicy(
             attempts=self.config.retry_attempts,
@@ -334,34 +318,22 @@ class SimilarityService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- preparation & caching -----------------------------------------
-    def prepare(self, tokens: Sequence[str]) -> PreparedQuery:
-        """Prepared-query cache front: same semantics as the searcher's
-        ``prepare`` (raises :class:`EmptyQueryError` on empty input)."""
-        version = self._searcher.version
-        if self._prepared is None:
-            return self._searcher.prepare(tokens)
-        key = prepared_cache_key(tuple(tokens))
-        prepared = self._prepared.get(key, version)
-        if prepared is None:
-            prepared = self._searcher.prepare(tokens)
-            self._prepared.put(key, version, prepared)
-        return prepared
-
+    # -- caching --------------------------------------------------------
     def invalidate(self) -> int:
-        """Drop every cached entry; returns the number dropped.
+        """Drop every cached result; returns the number dropped.
 
         Rarely needed: version stamping already invalidates entries
         lazily after any index mutation.
         """
-        dropped = 0
-        for cache in (self._results, self._prepared):
-            if cache is not None:
-                dropped += cache.clear()
-        return dropped
+        return self._results.clear() if self._results is not None else 0
 
     def stats(self) -> Dict[str, Any]:
-        """Serving counters plus per-cache hit/miss statistics."""
+        """Serving counters plus result-cache hit/miss statistics.
+
+        ``prepared_cache`` is always ``None``, the value a disabled cache
+        reports: only results are cached, and perfbench's
+        ``cache_ratios`` still reads the key.
+        """
         return {
             "queries_served": self.queries_served,
             "degraded": self.degraded_count,
@@ -373,9 +345,7 @@ class SimilarityService:
             "result_cache": (
                 self._results.stats() if self._results else None
             ),
-            "prepared_cache": (
-                self._prepared.stats() if self._prepared else None
-            ),
+            "prepared_cache": None,
         }
 
     # -- resilient execution -------------------------------------------
@@ -494,7 +464,7 @@ class SimilarityService:
                 return ServiceResult(
                     hit, tau, algorithm, cached=True, wall_seconds=wall,
                 )
-        prepared = self.prepare(tokens)
+        prepared = self._searcher.prepare(tokens)
         out = self._settle(prepared, tau, algorithm, deadline, key, version)
         out.wall_seconds = time.perf_counter() - started
         self._observe_latency(out.wall_seconds)
@@ -640,28 +610,16 @@ class SimilarityService:
         algorithm: str,
         deadline: Optional[float],
     ) -> List[ServiceResult]:
-        """Cache replay, coalescing, locality sort, inline execution."""
+        """Cache replay, coalescing, then one execution per distinct miss."""
         version = self._searcher.version
-        prepared: List[Optional[PreparedQuery]] = []
-        out: List[Optional[ServiceResult]] = []
-        for tokens in queries:
-            try:
-                prepared.append(self.prepare(tokens))
-                out.append(None)
-            except EmptyQueryError as exc:
-                prepared.append(None)
-                out.append(
-                    ServiceResult(None, tau, algorithm, error=str(exc))
-                )
+        out: List[Optional[ServiceResult]] = [None] * len(queries)
 
-        # 1. Replay cache hits; group the remaining work by result key
-        #    so identical in-batch queries execute once (coalescing).
+        # 1. Replay cache hits; group the misses by result key so
+        #    identical in-batch queries execute once (coalescing).
         pending: Dict[Tuple, List[int]] = {}
-        for i, query in enumerate(prepared):
-            if query is None:
-                continue
+        for i, tokens in enumerate(queries):
             looked = time.perf_counter()
-            key = result_cache_key(tuple(queries[i]), tau, algorithm)
+            key = result_cache_key(tuple(tokens), tau, algorithm)
             if self._results is not None:
                 hit = self._results.get(key, version)
                 if hit is not None:
@@ -672,21 +630,22 @@ class SimilarityService:
                     continue
             pending.setdefault(key, []).append(i)
 
-        # 2. Locality sort: queries sharing their rarest (highest-idf)
-        #    tokens run adjacently, so consecutive executions touch the
-        #    same hot lists (and the same buffer-pool pages).
-        order = sorted(
-            pending.items(), key=lambda item: prepared[item[1][0]].tokens
-        )
-
-        # 3. Execute one query per distinct key, in that order, in this
-        #    thread.  Each deadline clock starts when its query starts,
-        #    so no query is charged for time it spent queued; so does
-        #    its wall clock, which its coalesced duplicates report too.
-        for key, indices in order:
+        # 2. Prepare and run each distinct miss once, in first-slot order,
+        #    in this thread.  Each deadline clock starts when its query
+        #    starts, so no query is charged for time it spent queued; so
+        #    does its wall clock, which its coalesced duplicates report
+        #    too.  A query that prepares to nothing fills its slots with
+        #    ``error``.
+        for key, indices in pending.items():
             started = time.perf_counter()
+            try:
+                prepared = self._searcher.prepare(queries[indices[0]])
+            except EmptyQueryError as exc:
+                for i in indices:
+                    out[i] = ServiceResult(None, tau, algorithm, error=str(exc))
+                continue
             primary = self._settle(
-                prepared[indices[0]],
+                prepared,
                 tau,
                 algorithm,
                 deadline,

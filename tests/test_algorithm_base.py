@@ -81,16 +81,17 @@ class TestAlgorithmResult:
         finally:
             set_invariant_checking(previous)
 
-    def test_pruning_power_shared_stats_clamps(self):
-        # Batched execution charges one ledger for the whole batch, so
-        # per-query reads legitimately exceed per-query list totals;
-        # shared_stats=True keeps the clamp for that case.
+    def test_pruning_power_overcount_clamps_when_disarmed(self):
+        from repro.contracts import set_invariant_checking
+
         stats = IOStats()
         stats.charge_element(500)
-        result = AlgorithmResult(
-            "x", [], stats, elements_total=100, shared_stats=True
-        )
-        assert result.pruning_power == 0.0
+        result = AlgorithmResult("x", [], stats, elements_total=100)
+        previous = set_invariant_checking(False)
+        try:
+            assert result.pruning_power == 0.0
+        finally:
+            set_invariant_checking(previous)
 
 
 class TestQueryLists:

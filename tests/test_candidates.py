@@ -67,12 +67,6 @@ class TestHashCandidateSet:
             cs.remove(c.set_id)  # mutation during scan is safe
         assert len(cs) == 0
 
-    def test_clear(self):
-        cs = HashCandidateSet()
-        cs.add(Candidate(1, 1.0))
-        cs.clear()
-        assert len(cs) == 0
-
 
 class TestPartitionedCandidateSet:
     def _make(self):

@@ -9,7 +9,6 @@ from repro.eval.harness import (
     ExperimentContext,
     format_table,
     parse_engine_spec,
-    run_batch,
 )
 from repro.eval.metrics import (
     MeasureRanker,
@@ -234,16 +233,3 @@ class TestHarness:
         p95 = summary.latency_percentile(0.95)
         assert 0.0 < p50 <= p95
         assert summary.row()["p95_wall_ms"] >= 0
-
-    def test_run_batch_sequential(self, context):
-        words = [context.collection.payload(i) for i in range(4)]
-        results = run_batch(context, "sf", words, 0.8)
-        assert len(results) == 4
-        assert all(r is not None for r in results)
-
-    def test_run_batch_parallel(self, context):
-        words = [context.collection.payload(i) for i in range(6)]
-        sequential = run_batch(context, "sf", words, 0.8)
-        parallel = run_batch(context, "sf", words, 0.8, processes=2)
-        for s, p in zip(sequential, parallel):
-            assert s.ids() == p.ids()

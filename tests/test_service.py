@@ -12,6 +12,7 @@ The contract under test, per ``docs/service.md``:
 * the HTTP endpoint round-trips all of the above as JSON.
 """
 
+import itertools
 import json
 import random
 import socket
@@ -132,7 +133,7 @@ class TestSingleQuery:
     def test_no_deadline_keeps_answers_and_counters(
         self, searcher, algorithm
     ):
-        config = ServiceConfig(result_cache_size=0, prepared_cache_size=0)
+        config = ServiceConfig(result_cache_size=0)
         with SimilarityService(searcher, config=config) as svc:
             for tokens in TOKEN_SETS:
                 served = svc.search(tokens, 0.3, algorithm=algorithm)
@@ -162,7 +163,7 @@ class TestSingleQuery:
             service.search([], 0.5)
 
     def test_caches_can_be_disabled(self, searcher):
-        config = ServiceConfig(result_cache_size=0, prepared_cache_size=0)
+        config = ServiceConfig(result_cache_size=0)
         with SimilarityService(searcher, config=config) as svc:
             svc.search(["data", "cleaning"], 0.4)
             assert not svc.search(["data", "cleaning"], 0.4).cached
@@ -203,8 +204,9 @@ class TestInvalidation:
 
     def test_explicit_invalidate_clears_both_caches(self, service):
         service.search(["data", "cleaning"], 0.4)
-        assert service.invalidate() >= 2  # one result + one prepared entry
+        assert service.invalidate() == 1  # the one cached result
         assert not service.search(["data", "cleaning"], 0.4).cached
+        assert service.stats()["prepared_cache"] is None
 
 
 class TestBatch:
@@ -257,6 +259,67 @@ class TestBatch:
         assert batch[0].ok
         assert not batch[1].ok
         assert batch[1].results == []
+
+    @staticmethod
+    def _count_prepares(monkeypatch):
+        """Record the tokens of every ``SetSimilaritySearcher.prepare``."""
+        calls = []
+        real = SetSimilaritySearcher.prepare
+
+        def counting(self, tokens):
+            calls.append(list(tokens))
+            return real(self, tokens)
+
+        monkeypatch.setattr(SetSimilaritySearcher, "prepare", counting)
+        return calls
+
+    def test_all_cached_batch_prepares_nothing(self, service, monkeypatch):
+        vocab = sorted({token for tokens in TOKEN_SETS for token in tokens})
+        queries = [list(pair) for pair in itertools.combinations(vocab, 2)]
+        queries = queries[:16]
+        warm = service.search_batch(queries, 0.3)
+        calls = self._count_prepares(monkeypatch)
+        with obs_metrics.use_registry(obs_metrics.MetricsRegistry()) as reg:
+            batch = service.search_batch(queries, 0.3)
+        assert calls == []
+        assert all(slot.cached for slot in batch)
+        assert [ids_and_scores(s.results) for s in batch] == \
+            [ids_and_scores(s.results) for s in warm]
+        # One cache lookup per slot, and only the result cache exists.
+        assert reg.get("cache_hits_total").labels(cache="result").value == 16
+        assert reg.total("cache_hits_total") == 16
+        assert reg.total("cache_misses_total") == 0
+
+    def test_mixed_batch_keeps_slot_order_and_flags(
+        self, searcher, service, monkeypatch
+    ):
+        cached = ["data", "cleaning"]
+        fresh = ["query", "processing"]
+        other = ["data", "quality", "matters"]
+        service.search(cached, 0.3)
+        calls = self._count_prepares(monkeypatch)
+        batch = service.search_batch(
+            [cached, fresh, fresh, [], other, cached, []], 0.3
+        )
+        flags = [(s.cached, s.coalesced, s.ok) for s in batch]
+        assert flags == [
+            (True, False, True),  # replayed from the result cache
+            (False, False, True),  # executed
+            (False, True, True),  # coalesced into slot 1
+            (False, False, False),  # empty: an error slot
+            (False, False, True),  # executed
+            (True, False, True),  # replayed again
+            (False, False, False),  # empty: an error slot
+        ]
+        # Only the misses were prepared, each distinct one once.
+        assert [tokens for tokens in calls if tokens] == [fresh, other]
+        answered = [(0, cached), (1, fresh), (2, fresh), (4, other),
+                    (5, cached)]
+        for i, tokens in answered:
+            direct = searcher.search(tokens, 0.3, algorithm="sf")
+            assert ids_and_scores(batch[i].results) == \
+                ids_and_scores(direct.results)
+        assert service.stats()["coalesced"] == 1
 
 
 class TestBatchRandomized:
