@@ -8,7 +8,10 @@ algorithm, hence the one where fixed per-query overhead is the largest
 relative cost — and records it in ``BENCH_obs.json``:
 
 * **stripped** — ``SelectionAlgorithm._observe`` monkeypatched to a
-  no-op: the pre-telemetry code, no flush logic at all;
+  no-op: the pre-telemetry code, no flush logic at all.  Only
+  ``_observe`` is removed: tracer checks (``obs_trace.current()`` and
+  span entry) stay in both modes, so this gate cannot see what they cost,
+  and a per-posting tracer check would pass it unnoticed;
 * **disabled** — the shipped default: a ``NullRegistry`` installed,
   every call site pays its ``registry.enabled`` test and returns;
 * **enabled** — a live ``MetricsRegistry`` collecting everything.

@@ -12,13 +12,12 @@ Three organizations, matching the paper:
   hash table.  Candidates discovered in list ``i`` arrive in increasing
   ``(length, id)`` order, so insertion is an O(1) append; ``max_len(C)`` is
   a running value, recomputed as the max over the tails of the per-list
-  lists (O(n), not O(|C|)) only after its holder leaves; pruning drops
-  provably dead candidates from the backs of the lists.
+  lists (O(n), not O(|C|)) only after its holder leaves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = ["Candidate", "CandidateSet", "HashCandidateSet", "PartitionedCandidateSet"]
 
@@ -108,7 +107,7 @@ class PartitionedCandidateSet:
     discovered in.  Within a partition, candidates are stored in discovery
     order, which by construction is increasing ``(length, id)``.  Dead
     candidates are tombstoned in the hash table and physically removed
-    lazily when partitions are trimmed from the back.
+    lazily when :meth:`max_length` trims a partition's back.
     """
 
     def __init__(self, num_lists: int) -> None:
@@ -175,30 +174,6 @@ class PartitionedCandidateSet:
                         best = tail.length
             self._max_length = best
         return best
-
-    def prune_back(self, is_dead: Callable[[Candidate], bool]) -> int:
-        """Drop dead candidates from the back of every partition.
-
-        ``is_dead`` must be monotone within a partition (true for the
-        length-based best-case bound: partitions are length-sorted and the
-        best-case score is non-increasing in length), so popping stops at
-        the first live candidate.  Returns the number removed.
-        """
-        removed = 0
-        for partition in self._partitions:
-            while partition:
-                self._trim_partition_back(partition)
-                if not partition:
-                    break
-                tail = partition[-1]
-                if is_dead(tail):
-                    partition.pop()
-                    del self._by_id[tail.set_id]
-                    self._forget(tail)
-                    removed += 1
-                else:
-                    break
-        return removed
 
     def __iter__(self) -> Iterator[Candidate]:
         return iter(self._by_id.values())

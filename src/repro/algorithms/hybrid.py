@@ -23,13 +23,16 @@ implemented in
 :class:`~repro.algorithms.candidates.PartitionedCandidateSet`: one
 length-sorted candidate list per inverted list (append-only by construction)
 plus a hash table; ``max_len(C)`` is a running value, recomputed over the
-partition tails (O(#lists)) only when a removal takes it, and provably-dead
-candidates are dropped from the partition backs, where the length-monotone
-best-case bound is weakest.
+partition tails (O(#lists)) only when a removal takes it.
+
+No per-round pruning from the partition backs is needed: the length-monotone
+bound it would apply, ``len(s) > Σ_i idf(q_i)² / (tau·len(q))``, is already
+applied when a set is admitted, since the kernel's ``admission_bound`` sums
+a subset of the same squared idfs, so no admitted candidate can fail it
+later.
 
 Hybrid is :class:`~repro.algorithms.inra.INRA` with full candidate scans
-and three hooks overridden: the candidate set, the depth cutoff and the
-per-round back pruning.
+and two hooks overridden: the candidate set and the depth cutoff.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..storage.invlist import InvertedIndex
-from .base import QueryLists, register_algorithm
+from .base import register_algorithm
 from .candidates import PartitionedCandidateSet
 from .inra import INRA
 from .kernel import RoundRobin
@@ -77,14 +80,3 @@ class Hybrid(INRA):
             )
 
         return past_depth
-
-    def _prune_round(
-        self, lists: QueryLists, tau: float, candidates: PartitionedCandidateSet
-    ) -> None:
-        # Cheap pruning from the partition backs using the length-monotone
-        # best-case bound (valid whatever the candidate has or hasn't been
-        # seen in).
-        scale = tau * lists.query.length
-        if scale > 0.0:
-            dead_above = sum(lists.idf_squared) / scale
-            candidates.prune_back(lambda c: c.length > dead_above)

@@ -21,7 +21,7 @@ Breadth-first (round-robin) like NRA, plus every Section IV property:
 The round-robin read and the per-list frontier state are the kernel's
 :class:`~repro.algorithms.kernel.RoundRobin`; the body here is the
 per-posting admission and the per-round resolve/prune pass.  Hybrid
-(Section VII) is this class with full scans and three hooks overridden.
+(Section VII) is this class with full scans and two hooks overridden.
 
 Correctness matches NRA's: upper bounds only ever shrink for valid reasons,
 and the search ends when the candidate set empties or every list completes.
@@ -63,44 +63,48 @@ class INRA(SelectionAlgorithm):
         if len(lists) == 0:
             return [], 0
         lo, hi = self._bounds(lists, tau)
-        rr = RoundRobin(lists, lo if self.use_length_bounds else None)
-        complete, frontier_key = rr.complete, rr.frontier_key
         candidates = self._candidate_set(len(lists))
-        past_depth = self._depth_cutoff(rr, candidates, tau)
+        get = candidates.get
         results: List[SearchResult] = []
         f_threshold = float("inf")
 
-        while True:
-            for i, length, set_id, contribution in rr.round(hi, past_depth):
-                cand = candidates.get(set_id)
-                if cand is None:
-                    if f_threshold < tau:
-                        continue  # no unseen set can qualify any more
-                    if admission_bound(
-                        lists, i, length, set_id, complete, frontier_key
-                    ) < tau:
-                        continue  # magnitude boundedness: never viable
-                    cand = candidates.add(Candidate(set_id, length), i)
-                cand.see(i, contribution)
+        with RoundRobin(lists, lo if self.use_length_bounds else None) as rr:
+            frontier_key = rr.frontier_key
+            past_depth = self._depth_cutoff(rr, candidates, tau)
+            while True:
+                for i, length, set_id, contribution in rr.round(hi, past_depth):
+                    cand = get(set_id)
+                    if cand is None:
+                        if f_threshold < tau:
+                            continue  # no unseen set can qualify any more
+                        if admission_bound(
+                            lists, i, length, set_id, rr.open, frontier_key
+                        ) < tau:
+                            continue  # magnitude boundedness: never viable
+                        cand = candidates.add(Candidate(set_id, length), i)
+                    # Candidate.see(i, contribution), inlined.
+                    bit = 1 << i
+                    if not cand.seen_mask & bit:
+                        cand.seen_mask |= bit
+                        cand.lower += contribution
 
-            f_threshold = rr.threshold()
-            done = rr.done()
-            if done:
-                # Every membership is resolved: lower bounds are exact.
-                resolved = candidates.scan()
-            else:
-                self._prune_round(lists, tau, candidates)
-                if self.lazy_scans and f_threshold >= tau:
-                    continue  # the candidate set cannot empty while F >= tau
-                resolved = prune_scan(
-                    lists, tau, candidates, complete, frontier_key,
-                    stop_at_viable=self.lazy_scans,
-                )
-            for cand in resolved:
-                if cand.lower >= tau:
-                    results.append(SearchResult(cand.set_id, cand.lower))
-            if done or (len(candidates) == 0 and f_threshold < tau):
-                break
+                f_threshold = rr.threshold()
+                done = not rr.open
+                if done:
+                    # Every membership is resolved: lower bounds are exact.
+                    resolved = candidates.scan()
+                else:
+                    if self.lazy_scans and f_threshold >= tau:
+                        continue  # the set cannot empty while F >= tau
+                    resolved = prune_scan(
+                        lists, tau, candidates, rr.open, rr.closed_mask,
+                        frontier_key, stop_at_viable=self.lazy_scans,
+                    )
+                for cand in resolved:
+                    if cand.lower >= tau:
+                        results.append(SearchResult(cand.set_id, cand.lower))
+                if done or (len(candidates) == 0 and f_threshold < tau):
+                    break
 
         return results, candidates.peak
 
@@ -113,8 +117,3 @@ class INRA(SelectionAlgorithm):
     ) -> Optional[Callable[[float], bool]]:
         """An extra stop test on a list's head length; iNRA has none."""
         return None
-
-    def _prune_round(
-        self, lists: QueryLists, tau: float, candidates: CandidateSet
-    ) -> None:
-        """Pruning before each round's candidate scan; iNRA has none."""

@@ -46,31 +46,30 @@ class ITA(StreamingAlgorithm):
         if len(lists) == 0:
             return 0
         lo, hi = self._bounds(lists, tau)
-        rr = RoundRobin(lists, lo if self.use_length_bounds else None)
+        with RoundRobin(lists, lo if self.use_length_bounds else None) as rr:
+            while True:
+                for i, length, set_id, contribution in rr.round(hi):
+                    if set_id in seen:
+                        continue
+                    seen.add(set_id)
+                    # Lists that could still contain this set; every other
+                    # list is a known absence and is never probed.
+                    plausible: List[int] = []
+                    if admission_bound(
+                        lists, i, length, set_id, rr.open, rr.frontier_key,
+                        plausible,
+                    ) < tau:
+                        continue  # provably hopeless: skip all probes
+                    score = contribution
+                    for j in plausible:
+                        found = self.index.probe(
+                            lists.tokens[j], set_id, lists.stats
+                        )
+                        if found is not None:
+                            score += lists.contribution(j, length)
+                    if score >= tau:
+                        yield SearchResult(set_id, score)
 
-        while True:
-            for i, length, set_id, contribution in rr.round(hi):
-                if set_id in seen:
-                    continue
-                seen.add(set_id)
-                # Lists that could still contain this set; every other list
-                # is a known absence and is never probed.
-                plausible: List[int] = []
-                if admission_bound(
-                    lists, i, length, set_id, rr.complete, rr.frontier_key,
-                    plausible,
-                ) < tau:
-                    continue  # provably hopeless: skip all probes
-                score = contribution
-                for j in plausible:
-                    found = self.index.probe(
-                        lists.tokens[j], set_id, lists.stats
-                    )
-                    if found is not None:
-                        score += lists.contribution(j, length)
-                if score >= tau:
-                    yield SearchResult(set_id, score)
-
-            if rr.done() or rr.threshold() < tau:
-                break
+                if rr.done() or rr.threshold() < tau:
+                    break
         return len(seen)

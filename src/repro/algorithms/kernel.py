@@ -1,17 +1,20 @@
 """The Section IV bounds kernel and the round-robin read loop.
 
 NRA, TA, iNRA, Hybrid, iTA and top-k read lists round-robin with the same
-per-list state, which :class:`RoundRobin` owns: ``complete[i]`` (list ``i`` can
-yield nothing more) and ``frontier_key[i]`` (the ``(len, id)`` key of the
-last posting popped from list ``i``, ``None`` before the first).  Order
+per-list state, which :class:`RoundRobin` owns: ``open`` (the indexes of
+the lists that can still yield, ascending), ``closed_mask`` (a bit per
+closed list) and ``frontier_key[i]`` (the ``(len, id)`` key of the last
+posting popped from list ``i``, ``None`` before the first).  Order
 Preservation (Property 1) turns that state into "list ``i`` cannot contain
-set ``s``" — the list is complete, or its frontier has passed
+set ``s``" — the list is closed, or its frontier has passed
 ``(len(s), id(s))`` — and :mod:`repro.core.properties` turns the lists that
-remain into bounds.  The pieces the algorithms share live here, once:
+remain into bounds.  Every per-round step walks the open lists only, so a
+round costs what is still open, not what the query started with.  The
+pieces the algorithms share live here, once:
 
 * :class:`RoundRobin` — one posting per open list per round, the frontier
-  state, the list-closing rules and ``F``, the best score of a still-unseen
-  set;
+  state, the list-closing rules, ``F`` (the best score of a still-unseen
+  set) and the per-page element ledger;
 * :func:`admission_bound` — the Property 2 best case of a newly popped set;
 * :func:`prune_scan` — one resolve/prune pass over the candidate set;
 * :func:`check_frontier_monotone` — the Magnitude Boundedness contract at a
@@ -23,11 +26,15 @@ from __future__ import annotations
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..contracts import ContractViolation, invariants_enabled
-from ..core.properties import best_case_score, magnitude_upper_bound
+from ..core.properties import best_case_score
 from .base import QueryLists
 from .candidates import Candidate, CandidateSet
 
 FrontierKeys = Sequence[Optional[Tuple[float, int]]]
+
+#: A list's kept page before its first page entry and after a seek or a
+#: settle: the next visit asks the cursor for its page.
+_NO_PAGE: Tuple[Sequence[Tuple[float, int]], int, int] = ((), 0, 0)
 
 
 def admission_bound(
@@ -35,25 +42,26 @@ def admission_bound(
     from_list: int,
     length: float,
     set_id: int,
-    complete: Sequence[bool],
+    open_lists: Sequence[int],
     frontier_key: FrontierKeys,
     plausible: Optional[List[int]] = None,
 ) -> float:
     """Best case of a set first seen now in list ``from_list``.
 
     Sums the set's squared idf over every list that could still contain
-    it: the discovering list, plus each list that is not complete and whose
-    frontier has not passed ``(length, set_id)``.  Frontiers from earlier
-    in the round only make the bound looser, never wrong.  When given,
-    ``plausible`` receives the indexes of those other lists (iTA probes
-    exactly them).
+    it: the discovering list, plus each of ``open_lists`` (ascending, as
+    :attr:`RoundRobin.open` keeps them) whose frontier has not passed
+    ``(length, set_id)``.  Frontiers from earlier in the round only make
+    the bound looser, never wrong.  When given, ``plausible`` receives the
+    indexes of those other lists (iTA probes exactly them).
     """
     key = (length, set_id)
     idf_squared = lists.idf_squared
     total = idf_squared[from_list]
-    for j, fk in enumerate(frontier_key):
-        if j == from_list or complete[j]:
+    for j in open_lists:
+        if j == from_list:
             continue
+        fk = frontier_key[j]
         if fk is not None and fk >= key:
             continue  # the frontier passed the set: absent from list j
         total += idf_squared[j]
@@ -66,47 +74,68 @@ def prune_scan(
     lists: QueryLists,
     tau: float,
     candidates: CandidateSet,
-    complete: Sequence[bool],
+    open_lists: Sequence[int],
+    closed_mask: int,
     frontier_key: FrontierKeys,
     stop_at_viable: bool = False,
 ) -> List[Candidate]:
     """One pass over the candidate set: resolve, prune, report.
 
-    For each candidate, lists that are complete or whose frontier passed
-    its key are ruled out.  A candidate with no list left open is
-    resolved: it leaves the set and is returned, its ``lower`` now the
-    exact score.  A candidate whose capped upper bound is below ``tau``
-    is dropped.  With ``stop_at_viable`` the pass ends at the first
-    candidate that stays (Section V's lazy scan): the candidates after it
-    may hold dead ones, which costs memory but never correctness.
+    For each candidate, the closed lists (``closed_mask``) and the open
+    lists whose frontier passed its key are ruled out.  A candidate with
+    no list left open is resolved: it leaves the set and is returned, its
+    ``lower`` now the exact score.  A candidate whose capped upper bound
+    (:func:`~repro.core.properties.magnitude_upper_bound`, inlined) is
+    below ``tau`` is dropped.  With ``stop_at_viable`` the pass ends at the
+    first candidate that stays (Section V's lazy scan): the candidates
+    after it may hold dead ones, which costs memory but never correctness.
+    Every candidate visited is charged to ``candidate_scans``, in one call.
     """
     all_mask = (1 << len(lists)) - 1
     query_len = lists.query.length
     idf_squared = lists.idf_squared
+    remove = candidates.remove
     resolved: List[Candidate] = []
+    scanned = 0
     for cand in candidates.scan():
-        lists.stats.charge_candidate_scan()
-        key = (cand.length, cand.set_id)
-        known = cand.seen_mask | cand.dead_mask
+        scanned += 1
+        length = cand.length
+        key = (length, cand.set_id)
+        seen = cand.seen_mask
+        dead = cand.dead_mask | (closed_mask & ~seen)
+        known = seen | dead
         open_idf_squared = 0.0
-        for i, fk in enumerate(frontier_key):
+        # Index order, as every other idf² sum here is taken.
+        for i in open_lists:
             if known >> i & 1:
                 continue
-            if complete[i] or (fk is not None and fk >= key):
-                cand.rule_out(i)
+            fk = frontier_key[i]
+            if fk is not None and fk >= key:
+                dead |= 1 << i
             else:
                 open_idf_squared += idf_squared[i]
-        if cand.resolved(all_mask):
-            candidates.remove(cand.set_id)
+        cand.dead_mask = dead
+        if (seen | dead) == all_mask:
+            remove(cand.set_id)
             resolved.append(cand)
             continue
-        upper = magnitude_upper_bound(
-            cand.length, query_len, open_idf_squared, cand.lower
-        )
+        lower = cand.lower
+        denom = length * query_len
+        if denom > 0.0:
+            upper = lower + open_idf_squared / denom
+            cap = length / query_len
+            if upper > cap:
+                upper = cap
+            if upper < lower:
+                upper = lower
+        else:
+            upper = lower
         if upper < tau:
-            candidates.remove(cand.set_id)
+            remove(cand.set_id)
         elif stop_at_viable:
             break
+    if scanned:
+        lists.stats.charge_candidate_scan(scanned)
     return resolved
 
 
@@ -130,40 +159,71 @@ class RoundRobin:
     """Algorithm 2's round-robin read and its per-list state.
 
     ``complete``, ``frontier_key`` and ``frontier_contrib`` (``w_i(f_i)``,
-    0 once list ``i`` completes) align with ``lists.cursors``;
+    0 once list ``i`` completes) align with ``lists.cursors``; ``open``
+    lists the indexes of the lists not complete, ascending, and
+    ``closed_mask`` has bit ``i`` set once list ``i`` completes;
     ``open_idf_squared`` sums idf² over the open lists.  Callers change
     the state only through :meth:`close`.  With ``lo``, every list is
     entered at its first posting with ``len >= lo`` (Length Boundedness).
 
-    Each open list's buffered page slice is kept here (``cursor.page()``),
-    so a pop inside a page reads the record locally; the pop is charged
-    at once with ``cursor.advance(1)``, which keeps the ledger and every
-    cursor's position exact at each yield.  :meth:`seek` drops the kept
-    slices, since it moves the cursors.
+    Each open list's buffered page slice and its position in it are kept
+    here (``cursor.page()``), so a pop inside a page is a local read.  The
+    pops are charged to the cursor and the ledger with one
+    ``cursor.advance(n)`` when the page ends, when the list closes, before
+    a :meth:`seek` and when the read ends.  The last is structural: use
+    the object as a context manager, and leaving the block settles every
+    list, also on an exception or an abandoned generator.  Inside the
+    block ``elements_read`` and the cursors' positions may lag the pops.
     """
 
-    __slots__ = ("lists", "complete", "frontier_key", "frontier_contrib",
-                 "open_idf_squared", "_verify", "_records", "_pos", "_end")
+    __slots__ = ("lists", "complete", "open", "closed_mask", "frontier_key",
+                 "frontier_contrib", "open_idf_squared", "_verify", "_page",
+                 "_pos")
 
     def __init__(self, lists: QueryLists, lo: Optional[float] = None) -> None:
         cursors = lists.cursors
         if lo is not None:
             for cursor in cursors:
                 cursor.seek_length_ge(lo)
+        idf_squared = lists.idf_squared
+        n = len(cursors)
         self.lists = lists
-        self.complete = [cursor.exhausted() for cursor in cursors]
-        self.frontier_key: List[Optional[Tuple[float, int]]] = [None] * len(lists)
-        self.frontier_contrib = [0.0] * len(lists)
-        self.open_idf_squared = sum(lists.idf_squared)
-        for idf_squared, done in zip(lists.idf_squared, self.complete):
-            if done:
-                self.open_idf_squared -= idf_squared
+        self.complete = complete = [cursor.exhausted() for cursor in cursors]
+        self.open = list(range(n))
+        self.closed_mask = 0
+        self.open_idf_squared = sum(idf_squared)
+        if True in complete:  # a length seek ran past a whole list
+            self.open = [i for i in self.open if not complete[i]]
+            for i, done in enumerate(complete):
+                if done:
+                    self.closed_mask |= 1 << i
+                    self.open_idf_squared -= idf_squared[i]
+        self.frontier_key: List[Optional[Tuple[float, int]]] = [None] * n
+        self.frontier_contrib = [0.0] * n
         self._verify = invariants_enabled()
-        # The kept page slice of each list: records[pos:end] is unread.
-        # pos == end (0 to start) means "ask the cursor for a page".
-        self._records: List[Sequence[Tuple[float, int]]] = [()] * len(lists)
-        self._pos = [0] * len(lists)
-        self._end = [0] * len(lists)
+        # Each list's kept page, ``(records, start, end)`` as
+        # ``cursor.page()`` returns it, and its position ``pos`` in it:
+        # records[pos:end] is unread, and pos >= end means "ask the cursor
+        # for a page".  records[start:pos] are popped but not yet charged;
+        # pos is written by the first pop of a page, so until then
+        # pos <= start.
+        self._page: List[Tuple[Sequence[Tuple[float, int]], int, int]] = (
+            [_NO_PAGE] * n
+        )
+        self._pos = [0] * n
+
+    def __enter__(self) -> "RoundRobin":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        """Charge every open list's uncharged pops (a closed list was
+        charged when it closed)."""
+        for i in self.open:
+            pending = self._pos[i] - self._page[i][1]
+            if pending > 0:
+                self.lists.cursors[i].advance(pending)
+                self._page[i] = _NO_PAGE
+                self._pos[i] = 0
 
     def round(
         self, hi: float, past_depth: Optional[Callable[[float], bool]] = None
@@ -176,31 +236,35 @@ class RoundRobin:
         its last posting is popped, whatever the caller does with it.
         """
         lists = self.lists
+        cursors = lists.cursors
         complete = self.complete
         frontier_key = self.frontier_key
         frontier_contrib = self.frontier_contrib
         verify = self._verify
         idf_squared = lists.idf_squared
         query_len = lists.query.length
-        records_of, pos_of, end_of = self._records, self._pos, self._end
-        for i, cursor in enumerate(lists.cursors):
+        page_of, pos_of = self._page, self._pos
+        # A copy: closing a list removes it from self.open.
+        for i in self.open[:]:
             if complete[i]:
-                continue
+                continue  # closed by the caller earlier in this round
             pos = pos_of[i]
-            end = end_of[i]
+            records, start, end = page_of[i]
             if pos >= end:
-                page = cursor.page()
+                page = cursors[i].page()
                 if page is None:
-                    self.close(i)
+                    self._close(i)
                     continue
-                records_of[i], pos, end = page
-                end_of[i] = end
-            key = records_of[i][pos]
+                page_of[i] = page
+                records, pos, end = page
+                start = pos
+            key = records[pos]
             length = key[0]
             if length > hi or (past_depth is not None and past_depth(length)):
-                self.close(i)
+                if pos > start:
+                    cursors[i].advance(pos - start)
+                self._close(i)
                 continue
-            cursor.advance(1)
             pos += 1
             pos_of[i] = pos
             set_id = key[1]
@@ -211,24 +275,45 @@ class RoundRobin:
                 check_frontier_monotone(lists, i, length, frontier_contrib[i])
             frontier_key[i] = key
             frontier_contrib[i] = contribution
-            if pos >= end and cursor.exhausted():
-                self.close(i)
+            if pos >= end:
+                # The page is used up: charge its pops in one call.
+                cursor = cursors[i]
+                cursor.advance(pos - start)
+                page_of[i] = (records, pos, end)
+                if cursor.exhausted():
+                    self._close(i)
             yield i, length, set_id, contribution
 
     def close(self, i: int) -> None:
-        """Mark list ``i`` complete: it can yield no further answer."""
+        """Mark list ``i`` complete: it can yield no further answer.  Its
+        uncharged pops are charged now."""
         if not self.complete[i]:
-            self.complete[i] = True
-            self.frontier_contrib[i] = 0.0
-            self.open_idf_squared -= self.lists.idf_squared[i]
+            pending = self._pos[i] - self._page[i][1]
+            if pending > 0:
+                self.lists.cursors[i].advance(pending)
+            self._close(i)
+
+    def _close(self, i: int) -> None:
+        """Close open list ``i``, whose pops are all charged."""
+        self.complete[i] = True
+        self.closed_mask |= 1 << i
+        self.open.remove(i)
+        self.frontier_contrib[i] = 0.0
+        self.open_idf_squared -= self.lists.idf_squared[i]
 
     def seek(self, lo: float) -> None:
         """Advance every open list to its first posting with ``len >= lo``;
         a list this exhausts closes at its turn in the next round."""
-        for i, cursor in enumerate(self.lists.cursors):
-            if not self.complete[i]:
-                cursor.seek_length_ge(lo)
-                self._pos[i] = self._end[i] = 0
+        cursors = self.lists.cursors
+        page_of, pos_of = self._page, self._pos
+        for i in self.open:
+            cursor = cursors[i]
+            pending = pos_of[i] - page_of[i][1]
+            if pending > 0:
+                cursor.advance(pending)
+            cursor.seek_length_ge(lo)
+            page_of[i] = _NO_PAGE
+            pos_of[i] = 0
 
     def threshold(self) -> float:
         """``F = Σ_i w_i(f_i)`` over the open lists (a closed list holds 0):
@@ -237,4 +322,4 @@ class RoundRobin:
         return sum(self.frontier_contrib)
 
     def done(self) -> bool:
-        return all(self.complete)
+        return not self.open

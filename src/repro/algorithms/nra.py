@@ -60,55 +60,58 @@ class NRA(SelectionAlgorithm):
         all_mask = (1 << n) - 1
         candidates = HashCandidateSet()
         results: List[SearchResult] = []
-        rr = RoundRobin(lists)
-        # frontier[i]: contribution of the last element read from list i
-        # (an upper bound on everything unread there); 0 once exhausted.
-        frontier = rr.frontier_contrib
-        complete = rr.complete
 
-        while True:
-            for i, length, set_id, contribution in rr.round(math.inf):
-                cand = candidates.get(set_id)
-                if cand is None:
-                    cand = candidates.add(Candidate(set_id, length))
-                cand.see(i, contribution)
+        with RoundRobin(lists) as rr:
+            # frontier[i]: contribution of the last element read from list
+            # i (an upper bound on everything unread there); 0 once
+            # exhausted.
+            frontier = rr.frontier_contrib
+            while True:
+                for i, length, set_id, contribution in rr.round(math.inf):
+                    cand = candidates.get(set_id)
+                    if cand is None:
+                        cand = candidates.add(Candidate(set_id, length))
+                    cand.see(i, contribution)
 
-            f_threshold = rr.threshold()
-            exhausted_mask = 0
-            for i in range(n):
-                if complete[i]:
-                    exhausted_mask |= 1 << i
+                f_threshold = rr.threshold()
+                # NRA closes a list only when it runs out.
+                exhausted_mask = rr.closed_mask
 
-            if self.lazy_scans and f_threshold >= tau and exhausted_mask == 0:
-                # Section VIII-A optimization: pruning cannot empty the
-                # candidate set while F >= tau, so skip the scan entirely.
-                continue
-
-            for cand in candidates.scan():
-                lists.stats.charge_candidate_scan()
-                # Lists that ran out can no longer contribute.
-                cand.dead_mask |= exhausted_mask & ~cand.seen_mask
-                if cand.resolved(all_mask):
-                    if cand.lower >= tau:
-                        results.append(SearchResult(cand.set_id, cand.lower))
-                    candidates.remove(cand.set_id)
+                if self.lazy_scans and f_threshold >= tau and exhausted_mask == 0:
+                    # Section VIII-A optimization: pruning cannot empty the
+                    # candidate set while F >= tau, so skip the scan.
                     continue
-                upper = cand.lower
-                for i in range(n):
-                    bit = 1 << i
-                    if not (cand.seen_mask | cand.dead_mask) & bit:
-                        upper += frontier[i]
-                if upper < tau:
-                    candidates.remove(cand.set_id)
-                elif self.lazy_scans:
-                    # Early termination: first viable candidate ends the scan.
-                    break
 
-            # Terminate only when no candidate is alive AND no unseen set
-            # can still qualify (an unseen set's score is bounded by F).
-            # Once every list is exhausted, every candidate resolves above
-            # and F is 0, below any tau.
-            if len(candidates) == 0 and f_threshold < tau:
-                break
+                open_lists = rr.open
+                scanned = 0
+                for cand in candidates.scan():
+                    scanned += 1
+                    # Lists that ran out can no longer contribute.
+                    cand.dead_mask |= exhausted_mask & ~cand.seen_mask
+                    if cand.resolved(all_mask):
+                        if cand.lower >= tau:
+                            results.append(SearchResult(cand.set_id, cand.lower))
+                        candidates.remove(cand.set_id)
+                        continue
+                    upper = cand.lower
+                    known = cand.seen_mask | cand.dead_mask
+                    for i in open_lists:
+                        if not known >> i & 1:
+                            upper += frontier[i]
+                    if upper < tau:
+                        candidates.remove(cand.set_id)
+                    elif self.lazy_scans:
+                        # Early termination: first viable candidate ends
+                        # the scan.
+                        break
+                if scanned:
+                    lists.stats.charge_candidate_scan(scanned)
+
+                # Terminate only when no candidate is alive AND no unseen
+                # set can still qualify (an unseen set's score is bounded
+                # by F).  Once every list is exhausted, every candidate
+                # resolves above and F is 0, below any tau.
+                if len(candidates) == 0 and f_threshold < tau:
+                    break
 
         return results, candidates.peak

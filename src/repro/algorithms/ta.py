@@ -60,16 +60,15 @@ class TA(SelectionAlgorithm):
             return [], 0
         results: List[SearchResult] = []
         seen: Set[int] = set()
-        rr = RoundRobin(lists)
-
-        while True:
-            for i, length, set_id, _contribution in rr.round(math.inf):
-                if set_id in seen:
-                    continue
-                seen.add(set_id)
-                score = self._complete_score(lists, i, set_id, length)
-                if score >= tau:
-                    results.append(SearchResult(set_id, score))
-            if rr.done() or rr.threshold() < tau:
-                break
+        with RoundRobin(lists) as rr:
+            while True:
+                for i, length, set_id, _contribution in rr.round(math.inf):
+                    if set_id in seen:
+                        continue
+                    seen.add(set_id)
+                    score = self._complete_score(lists, i, set_id, length)
+                    if score >= tau:
+                        results.append(SearchResult(set_id, score))
+                if rr.done() or rr.threshold() < tau:
+                    break
         return results, len(seen)

@@ -72,7 +72,6 @@ class TopKSearcher:
         query_len = query.length
         candidates = HashCandidateSet()
         finalists: List[Candidate] = []  # resolved, exact scores
-        rr = RoundRobin(lists)
         theta = 0.0
 
         def current_theta() -> float:
@@ -83,40 +82,44 @@ class TopKSearcher:
                 return 0.0
             return heapq.nlargest(k, lowers)[-1]
 
-        while not rr.done():
-            hi = float("inf")
-            if theta > 0.0:
-                # Dynamic Theorem 1 window: skip forward as θ rises.
-                rr.seek(theta * query_len)
-                hi = query_len / theta
-            for i, length, set_id, contribution in rr.round(float("inf")):
-                if length > hi:
-                    rr.close(i)  # the read past len(q)/θ ends the list
-                    continue
-                cand = candidates.get(set_id)
-                if cand is None:
-                    best = admission_bound(
-                        lists, i, length, set_id, rr.complete, rr.frontier_key
-                    )
-                    if best <= 0.0 or best < theta:
+        with RoundRobin(lists) as rr:
+            while not rr.done():
+                hi = float("inf")
+                if theta > 0.0:
+                    # Dynamic Theorem 1 window: skip forward as θ rises.
+                    rr.seek(theta * query_len)
+                    hi = query_len / theta
+                for i, length, set_id, contribution in rr.round(float("inf")):
+                    if length > hi:
+                        rr.close(i)  # the read past len(q)/θ ends the list
                         continue
-                    cand = candidates.add(Candidate(set_id, length), i)
-                cand.see(i, contribution)
+                    cand = candidates.get(set_id)
+                    if cand is None:
+                        best = admission_bound(
+                            lists, i, length, set_id, rr.open, rr.frontier_key
+                        )
+                        if best <= 0.0 or best < theta:
+                            continue
+                        cand = candidates.add(Candidate(set_id, length), i)
+                    cand.see(i, contribution)
 
-            theta = current_theta()
-            f_threshold = rr.threshold()
-            # Resolve / prune the candidate set against the current θ.
-            finalists.extend(
-                prune_scan(lists, theta, candidates, rr.complete, rr.frontier_key)
-            )
-            theta = current_theta()
+                theta = current_theta()
+                f_threshold = rr.threshold()
+                # Resolve / prune the candidate set against the current θ.
+                finalists.extend(
+                    prune_scan(
+                        lists, theta, candidates, rr.open, rr.closed_mask,
+                        rr.frontier_key,
+                    )
+                )
+                theta = current_theta()
 
-            if (
-                len(candidates) == 0
-                and len(finalists) >= k
-                and f_threshold < theta
-            ):
-                break
+                if (
+                    len(candidates) == 0
+                    and len(finalists) >= k
+                    and f_threshold < theta
+                ):
+                    break
 
         # Any survivors have exact scores now only if resolved; resolve the
         # rest (all lists complete implies resolution, and the early-exit

@@ -1,14 +1,18 @@
 """Direct unit tests for the candidate-set data structures."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import SetCollection, SetSimilaritySearcher
 from repro.algorithms.candidates import (
     Candidate,
     HashCandidateSet,
     PartitionedCandidateSet,
 )
+from repro.algorithms.hybrid import Hybrid
 
 
 class TestCandidate:
@@ -90,23 +94,6 @@ class TestPartitionedCandidateSet:
     def test_max_length_empty(self):
         assert PartitionedCandidateSet(2).max_length() == 0.0
 
-    def test_prune_back_monotone(self):
-        cs = self._make()
-        removed = cs.prune_back(lambda c: c.length > 1.6)
-        assert removed == 2  # ids 2 and 4
-        assert 2 not in cs and 4 not in cs
-        assert 1 in cs and 3 in cs
-
-    def test_prune_back_stops_at_live(self):
-        cs = PartitionedCandidateSet(1)
-        cs.add(Candidate(1, 1.0), 0)
-        cs.add(Candidate(2, 2.0), 0)
-        cs.add(Candidate(3, 3.0), 0)
-        # Only the back is dead; the front stays even if it would match.
-        cs.prune_back(lambda c: c.length >= 3.0)
-        assert 3 not in cs
-        assert 1 in cs and 2 in cs
-
     def test_peak(self):
         cs = self._make()
         cs.remove(1)
@@ -126,7 +113,7 @@ class TestPartitionedCandidateSet:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["add", "remove", "prune"]),
+                st.sampled_from(["add", "remove"]),
                 st.integers(min_value=0, max_value=2),
                 st.integers(min_value=0, max_value=12),
             ),
@@ -145,7 +132,52 @@ class TestPartitionedCandidateSet:
                 next_id += 1
             elif op == "remove":
                 cs.remove(value)
-            elif op == "prune":
-                cs.prune_back(lambda c, cut=value / 2: c.length > cut)
             live = [c.length for c in cs]
             assert cs.max_length() == (max(live) if live else 0.0)
+
+
+class TestHybridAdmission:
+    """Hybrid needs no pruning from its partition backs: the cut such a
+    pass would apply, ``len(s) > Σ idf² / (tau·len(q))`` over the query's
+    lists, is already implied by the admission bound, which sums a subset
+    of the same squared idfs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sets=st.lists(
+            st.sets(st.sampled_from("abcdefghij"), min_size=1, max_size=6),
+            min_size=1,
+            max_size=40,
+        ),
+        query=st.sets(st.sampled_from("abcdefghijk"), min_size=1, max_size=6),
+        tau=st.sampled_from([0.3, 0.5, 0.6, 0.7, 0.8, 0.9]),
+    )
+    def test_every_admitted_candidate_is_within_the_back_cut(
+        self, sets, query, tau
+    ):
+        searcher = SetSimilaritySearcher(
+            SetCollection.from_token_sets(sets), page_capacity=2
+        )
+        runs = []
+        admitted = []
+        run = Hybrid._run
+        add = PartitionedCandidateSet.add
+
+        def recording_run(algorithm, lists, tau):
+            runs.append((lists, tau))
+            return run(algorithm, lists, tau)
+
+        def recording_add(candidates, candidate, discovered_in):
+            admitted.append(candidate)
+            return add(candidates, candidate, discovered_in)
+
+        with mock.patch.object(Hybrid, "_run", recording_run), \
+                mock.patch.object(PartitionedCandidateSet, "add", recording_add):
+            searcher.search(sorted(query), tau, algorithm="hybrid")
+        ((lists, effective_tau),) = runs
+        scale = effective_tau * lists.query.length
+        if scale <= 0.0:
+            assert not admitted
+            return
+        cut = sum(lists.idf_squared) / scale
+        assert all(c.length <= cut for c in admitted)

@@ -222,10 +222,9 @@ class TestOrderPreservation:
     @staticmethod
     def bound(lists, frontier):
         # A set of length 10 (so the len(s)² cap stays slack) first seen
-        # in list 0, with list 1's frontier at ``frontier``.
-        return admission_bound(
-            lists, 0, 10.0, 5, [False, False], [None, frontier]
-        )
+        # in list 0, with both lists open and list 1's frontier at
+        # ``frontier``.
+        return admission_bound(lists, 0, 10.0, 5, [0, 1], [None, frontier])
 
     @staticmethod
     def bound_over(lists, *indexes):
