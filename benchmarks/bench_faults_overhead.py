@@ -24,12 +24,20 @@ until each mode has run for ``MIN_SAMPLE_SECONDS`` (0.2 s), and records
 seconds per pass: a single pass of a few ms reads machine noise.  Set
 ``REPRO_BENCH_SMOKE=1`` for CI's gross-regression tripwire: fewer
 rounds and a 10% bound, because shared runners cannot resolve 2%.
+
+Beside the clock, one pass of each of stripped and disabled is counted
+in two exact units that repeat run to run and machine to machine:
+executed bytecodes (``sys.settrace`` with ``frame.f_trace_opcodes``) and
+calls into C (``sys.setprofile`` ``c_call`` events, so a disabled path
+that calls an expensive builtin cannot look free).  Disabled may exceed
+stripped by at most ``COUNT_BOUND`` (2%) in each, smoke run or not.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -49,6 +57,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() in {
 }
 ROUNDS = 3 if SMOKE else 9
 OVERHEAD_BOUND = 0.10 if SMOKE else 0.02
+COUNT_BOUND = 0.02
 
 
 def _prepared_workload(context, workload):
@@ -60,6 +69,42 @@ def _run_workload(algorithm, queries):
     for query in queries:
         algorithm.search(query, TAU)
     return time.perf_counter() - started
+
+
+def _opcodes(run) -> int:
+    """Bytecodes executed by ``run()``."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def _c_calls(run) -> int:
+    """Calls into C functions made by ``run()``."""
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if event == "c_call":
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
@@ -104,6 +149,16 @@ def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
     disabled_overhead = best["disabled"] / best["stripped"] - 1.0
     armed_overhead = best["armed"] / best["stripped"] - 1.0
 
+    counts = {
+        (unit, mode): counter(lambda: timed(mode))
+        for unit, counter in (("opcodes", _opcodes), ("c_calls", _c_calls))
+        for mode in ("stripped", "disabled")
+    }
+    count_overhead = {
+        unit: counts[unit, "disabled"] / counts[unit, "stripped"] - 1.0
+        for unit in ("opcodes", "c_calls")
+    }
+
     record = {
         "corpus_records": len(context.collection),
         "workload_queries": len(default_workload),
@@ -118,6 +173,16 @@ def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
         "armed_overhead_pct": round(armed_overhead * 100.0, 3),
         "overhead_bound_pct": OVERHEAD_BOUND * 100.0,
         "armed_injections": armed_plan.injected_total(),
+        **{
+            f"{mode}_{unit}": counts[unit, mode]
+            for unit in ("opcodes", "c_calls")
+            for mode in ("stripped", "disabled")
+        },
+        **{
+            f"disabled_{unit}_overhead_pct": round(value * 100.0, 3)
+            for unit, value in count_overhead.items()
+        },
+        "count_bound_pct": COUNT_BOUND * 100.0,
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
 
@@ -134,4 +199,6 @@ def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
     # The armed plan's rule targets a persistence-only site: the search
     # workload must never have tripped it.
     assert record["armed_injections"] == 0
+    for value in count_overhead.values():
+        assert value <= COUNT_BOUND, record
     assert disabled_overhead <= OVERHEAD_BOUND, record

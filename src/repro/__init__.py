@@ -59,8 +59,8 @@ from .faults import (
 )
 from .service import ServiceConfig, ServiceResult, SimilarityService
 from .storage.invlist import InvertedIndex
-from .storage.oplog import DurableUpdatableSearcher, OperationsLog
 from .storage.persist import (
+    DurableUpdatableSearcher,
     RecoveryReport,
     load_searcher,
     save_searcher,
@@ -98,7 +98,6 @@ __all__ = [
     "PrefixFilterSearcher",
     "UpdatableSearcher",
     "DurableUpdatableSearcher",
-    "OperationsLog",
     "WeightedSelector",
     "IdfStatistics",
     "InvertedIndex",

@@ -33,11 +33,12 @@ reference once, so a query sees one epoch and one set of inserts.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 from .collection import SetCollection, SetRecord
 from .errors import ConfigurationError
 from .search import SetSimilaritySearcher
+from .weights import tf_counts
 
 
 class UpdatableSearcher(SetSimilaritySearcher):
@@ -56,11 +57,20 @@ class UpdatableSearcher(SetSimilaritySearcher):
         self.auto_rebuild_fraction = auto_rebuild_fraction
         self._writer = threading.RLock()
         initial = SetCollection.from_token_sets(initial_sets or (), payloads)
-        self._publish(_EpochCollection(0, initial))
+        self._publish(0, initial)
 
-    def _publish(self, collection: "_EpochCollection") -> None:
-        """Build the epoch's index and make it the published one."""
-        super().__init__(collection)
+    def _publish(
+        self,
+        epoch: int,
+        records: Iterable[SetRecord],
+        with_skip_lists: bool = True,
+    ) -> "UpdatableSearcher":
+        """Pin the statistics of ``records`` as epoch ``epoch``, build its
+        index and make it the published one; returns ``self``."""
+        super().__init__(
+            _EpochCollection(epoch, records), with_skip_lists=with_skip_lists
+        )
+        return self
 
     # Bound here too, so per-class wrappers (span tracing) find it in
     # this class's own namespace.
@@ -98,23 +108,33 @@ class UpdatableSearcher(SetSimilaritySearcher):
     def add(self, tokens: Sequence[str], payload: Any = None) -> int:
         """Insert one set; returns its id.  Visible to the next query."""
         with self._writer:
-            index = self.index
-            collection = index.collection
-            set_id = collection.add(tokens, payload)
-            self.index = index.with_set(
-                set_id, collection[set_id].tokens, collection.length(set_id)
-            )
-            base = collection.stats.num_sets
-            if self.pending >= self.auto_rebuild_fraction * max(base, 1):
-                self.rebuild()
-            return set_id
+            counts = tf_counts(list(tokens))
+            length = self.stats_epoch.length(counts)
+            return self._insert(counts, length, payload)
+
+    def _insert(
+        self, counts: Dict[str, int], length: float, payload: Any
+    ) -> int:
+        """Publish one set whose token counts and normalized length under
+        the epoch's statistics are computed: nothing here can reject it.
+        The caller holds the writer lock."""
+        index = self.index
+        collection = index.collection
+        set_id = collection.add_counted(counts, length, payload)
+        self.index = index.with_set(set_id, collection[set_id].tokens, length)
+        base = collection.stats.num_sets
+        if self.pending >= self.auto_rebuild_fraction * max(base, 1):
+            self.rebuild()
+        return set_id
 
     def rebuild(self) -> int:
         """Start a new epoch: refresh the statistics snapshot from every
         set and rebuild the index.  Returns the new epoch number."""
         with self._writer:
             collection = self.index.collection
-            self._publish(_EpochCollection(collection.epoch + 1, collection))
+            self._publish(
+                collection.epoch + 1, collection, self.index.with_skip_lists
+            )
             return self.epoch
 
     def payload(self, set_id: int) -> Any:
@@ -137,8 +157,15 @@ class _EpochCollection(SetCollection):
         self.lengths()  # pin the statistics and every length now
 
     def add(self, tokens: Sequence[str], payload: Any = None) -> int:
-        tokens = list(tokens)
+        counts = tf_counts(list(tokens))
+        return self.add_counted(counts, self._stats.length(counts), payload)
+
+    def add_counted(
+        self, counts: Dict[str, int], length: float, payload: Any = None
+    ) -> int:
+        """Append a set given as token counts with its normalized length
+        under the pinned statistics; returns its id."""
         # The length goes in first: a reader that sees the record can
         # always look its length up.
-        self._lengths.append(self._stats.length(tokens))
-        return self._append(tokens, payload)
+        self._lengths.append(length)
+        return self._append_counts(counts, payload)

@@ -24,12 +24,19 @@ Generation layout (format version 3)::
       gen-000001/
         manifest.json      # version, skip-list flag, counts, sha256
         collection.jsonl   # one JSON object per set, in id order
+        inserts.jsonl      # optional: CRC-framed sets added since the save
 
 A save writes a fresh generation into a hidden temp directory, fsyncs
 every file, writes the manifest *last* (so a manifest can never name
 data that was not flushed), promotes the temp directory with a rename,
 and finally flips ``CURRENT`` via atomic ``os.replace``.  Readers see
-the old generation until that final rename.
+the old generation until that final rename.  Then it deletes every
+generation but the new one and the one ``CURRENT`` named before.
+
+A save writes no ``inserts.jsonl``; :class:`DurableUpdatableSearcher`
+appends each insert to it.  A load indexes the tail's verified lines
+after the collection and reports the rest as dropped; it leaves them on
+disk, and the next append cuts them off (see :func:`_read_inserts`).
 
 Loading verifies manifest → checksum → collection → the built index's
 counts; any damage is attributed to a specific component in a structured
@@ -37,7 +44,8 @@ counts; any damage is attributed to a specific component in a structured
 loader quarantines it (rename to ``<gen>.corrupt``) and falls back to
 the newest intact generation; only when *no* generation survives does
 it raise :class:`~repro.core.errors.CorruptIndexError` carrying the
-report.
+report.  A read that raises ``OSError`` proves no damage (it may be
+transient), so the load raises it and renames nothing.
 
 Format 2 generations and the flat single-directory layout of format 1
 (``manifest.json`` + data files at top level) are still read; nothing
@@ -56,12 +64,17 @@ import json
 import os
 import shutil
 import struct
+import zlib
+from collections import Counter
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.collection import SetCollection
 from ..core.errors import CorruptIndexError, StorageError
 from ..core.search import SetSimilaritySearcher
+from ..core.updatable import UpdatableSearcher
+from ..core.weights import tf_counts
 from ..faults import runtime as faults_runtime
 from .invlist import InvertedIndex, _gc_paused
 
@@ -79,6 +92,7 @@ _QUARANTINE_SUFFIX = ".corrupt"
 COLLECTION_FILE = "collection.jsonl"
 POSTINGS_FILE = "postings.bin"
 MANIFEST_FILE = "manifest.json"
+INSERTS_FILE = "inserts.jsonl"
 
 
 class DamageRecord:
@@ -113,6 +127,10 @@ class RecoveryReport:
         self.loaded_generation: Optional[str] = None
         self.quarantined: List[str] = []
         self.legacy = False
+        #: Lines of the loaded generation's ``inserts.jsonl`` replayed and
+        #: dropped.
+        self.replayed = 0
+        self.dropped = 0
 
     @property
     def clean(self) -> bool:
@@ -302,6 +320,14 @@ def _set_current(directory: Path, gen_name: str) -> None:
     _fsync_dir(directory)
 
 
+def _current_name(directory: Path) -> Optional[str]:
+    """The generation ``CURRENT`` names, or None when there is none."""
+    try:
+        return (directory / _CURRENT).read_text(encoding="utf-8").strip()
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
 def _clean_stale_tmp(directory: Path) -> None:
     for entry in directory.iterdir():
         if entry.is_dir() and entry.name.startswith(_TMP_PREFIX):
@@ -315,11 +341,14 @@ def save_searcher(searcher: SetSimilaritySearcher, path) -> Dict[str, Any]:
     """Persist a searcher's collection and index to a directory.
 
     Writes a new crash-safe generation and flips ``CURRENT`` to it only
-    after everything is durable.  Returns the manifest that was written.
+    after everything is durable, then deletes every generation but the
+    new one and the one ``CURRENT`` named before.  Returns the manifest
+    that was written.
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     _clean_stale_tmp(directory)
+    keep = {_current_name(directory)}
     gen_name = _next_generation_name(directory)
     tmp_dir = directory / (_TMP_PREFIX + gen_name)
     tmp_dir.mkdir()
@@ -333,38 +362,46 @@ def save_searcher(searcher: SetSimilaritySearcher, path) -> Dict[str, Any]:
     os.rename(tmp_dir, directory / gen_name)
     _fsync_dir(directory)
     _set_current(directory, gen_name)
+    keep.add(gen_name)
+    for gen in _generation_dirs(directory):
+        if gen not in keep:
+            shutil.rmtree(directory / gen, ignore_errors=True)
     return manifest
 
 
 # ----------------------------------------------------------------------
 # load
 # ----------------------------------------------------------------------
+#: Makes a load's searcher from the verified sets and skip-list flag.
+_Build = Callable[..., SetSimilaritySearcher]
+
+
 def load_searcher(path) -> SetSimilaritySearcher:
     """Load a searcher persisted by :func:`save_searcher`.
 
     Detects the layout (``CURRENT`` ⇒ generational, top-level
     ``manifest.json`` ⇒ legacy flat), verifies integrity, and recovers
     from a damaged current generation by quarantining it and falling
-    back to the newest intact one.  The returned searcher carries a
-    ``recovery_report`` attribute (:class:`RecoveryReport`); when no
-    intact state exists, raises
-    :class:`~repro.core.errors.CorruptIndexError` whose ``report``
-    names every damaged component.
+    back to the newest intact one.  The sets of the generation's
+    ``inserts.jsonl`` tail, if it has one, are indexed after its
+    collection.  The returned searcher carries a ``recovery_report``
+    attribute (:class:`RecoveryReport`); when no intact state exists,
+    raises :class:`~repro.core.errors.CorruptIndexError` whose
+    ``report`` names every damaged component.  An ``OSError`` from a
+    read is raised as it is, with nothing renamed.
     """
-    directory = Path(path)
-    if (directory / _CURRENT).exists():
-        return _load_generational(directory)
-    if (directory / MANIFEST_FILE).exists():
-        return _load_flat(directory)
-    raise StorageError(f"no persisted index under {directory}")
+    return _load(Path(path), SetSimilaritySearcher)[0]
 
 
-def _load_generational(directory: Path) -> SetSimilaritySearcher:
+def _load(
+    directory: Path, build: _Build
+) -> Tuple[SetSimilaritySearcher, int]:
+    """The loaded searcher and the length in bytes of its generation's
+    verified tail prefix."""
     report = RecoveryReport(str(directory))
-    known = _generation_dirs(directory)
-
     current: Optional[str] = None
-    try:
+    if (directory / _CURRENT).exists():
+        known = _generation_dirs(directory)
         raw = _read_file(directory / _CURRENT, "persist.read_manifest")
         name = raw.decode("utf-8", errors="replace").strip()
         if name in known:
@@ -373,31 +410,29 @@ def _load_generational(directory: Path) -> SetSimilaritySearcher:
             report.record(
                 _CURRENT, "pointer", f"names missing generation {name!r}"
             )
-    except OSError as exc:
-        report.record(_CURRENT, "pointer", str(exc))
-
-    candidates = []
-    if current is not None:
-        candidates.append(current)
-    candidates.extend(
-        sorted(
-            (g for g in known if g != current),
-            key=lambda n: int(n[len(_GEN_PREFIX) :]),
-            reverse=True,
+        candidates = [current] if current is not None else []
+        candidates.extend(
+            sorted(
+                (g for g in known if g != current),
+                key=lambda n: int(n[len(_GEN_PREFIX) :]),
+                reverse=True,
+            )
         )
-    )
+    elif (directory / MANIFEST_FILE).exists():
+        report.legacy = True
+        current = "flat"
+        candidates = [current]
+    else:
+        raise StorageError(f"no persisted index under {directory}")
 
     failed: List[str] = []
     for gen in candidates:
         report.generations_tried.append(gen)
+        gen_dir = directory if report.legacy else directory / gen
         try:
-            searcher = _load_generation(directory / gen)
+            searcher, tail_end = _load_generation(gen_dir, gen, build, report)
         except _ComponentFailure as exc:
             report.record(gen, exc.component, exc.detail)
-            failed.append(gen)
-            continue
-        except OSError as exc:
-            report.record(gen, "io", str(exc))
             failed.append(gen)
             continue
         report.loaded_generation = gen
@@ -408,7 +443,7 @@ def _load_generational(directory: Path) -> SetSimilaritySearcher:
             except OSError as exc:
                 report.record(gen, "pointer-repair", str(exc))
         searcher.recovery_report = report
-        return searcher
+        return searcher, tail_end
 
     raise CorruptIndexError(
         f"no intact generation under {directory}: {report.summary()}",
@@ -433,34 +468,16 @@ def _quarantine(
             pass
 
 
-def _load_flat(directory: Path) -> SetSimilaritySearcher:
-    report = RecoveryReport(str(directory))
-    report.legacy = True
-    try:
-        searcher = _load_generation(directory)
-    except _ComponentFailure as exc:
-        report.record("flat", exc.component, exc.detail)
-        raise CorruptIndexError(
-            f"flat index under {directory} is damaged: {report.summary()}",
-            report=report,
-        ) from None
-    except OSError as exc:
-        report.record("flat", "io", str(exc))
-        raise CorruptIndexError(
-            f"flat index under {directory} is unreadable: {report.summary()}",
-            report=report,
-        ) from None
-    report.loaded_generation = "flat"
-    searcher.recovery_report = report
-    return searcher
-
-
-def _load_generation(gen_dir: Path) -> SetSimilaritySearcher:
-    """Load one directory (a generation, or a flat legacy layout).
+def _load_generation(
+    gen_dir: Path, name: str, build: _Build, report: RecoveryReport
+) -> Tuple[SetSimilaritySearcher, int]:
+    """Load one directory (a generation, or a flat legacy layout), and
+    the length of its tail's verified prefix.
 
     Raises :class:`_ComponentFailure` naming the first component whose
     verification failed; never returns a searcher that would score
-    differently from the saved one.
+    differently from the saved one.  On success the tail's replayed and
+    dropped lines go into ``report``.
     """
     manifest_path = gen_dir / MANIFEST_FILE
     if not manifest_path.exists():
@@ -515,10 +532,14 @@ def _load_generation(gen_dir: Path) -> SetSimilaritySearcher:
 
     with _gc_paused():
         collection = _parse_collection(collection_data, manifest)
-        searcher = SetSimilaritySearcher(
-            collection, with_skip_lists=manifest["with_skip_lists"]
+        added, tail_end, dropped = _read_inserts(gen_dir / INSERTS_FILE)
+        _parse_sets(collection, added, "inserts")
+        searcher = build(
+            collection.freeze(), with_skip_lists=manifest["with_skip_lists"]
         )
 
+    # ``postings.bin`` (formats 1 and 2) pins the saved sets' lists
+    # alone, so a tail beside it fails this check.
     postings_path = gen_dir / POSTINGS_FILE
     if postings_path.exists():
         stored = _read_file(postings_path, "persist.read_postings")
@@ -528,17 +549,40 @@ def _load_generation(gen_dir: Path) -> SetSimilaritySearcher:
                 f"{POSTINGS_FILE} differs from the lists a build of the "
                 "collection makes",
             )
+    # A replayed set adds one posting per token, and a list for each
+    # token that no saved set holds.
+    added_df = Counter(
+        token
+        for set_id in range(manifest["num_sets"], len(collection))
+        for token in collection[set_id].counts
+    )
+    stats = searcher.collection.stats
+    expected_counts = {
+        "num_tokens": manifest["num_tokens"]
+        + sum(1 for token, n in added_df.items() if stats.doc_freq(token) == n),
+        "num_postings": manifest["num_postings"] + sum(added_df.values()),
+    }
     for key, value in _counts(searcher.index).items():
-        if value != manifest[key]:
+        if value != expected_counts[key]:
             raise _ComponentFailure(
                 "manifest",
-                f"the built index has {key} = {value}, manifest says "
-                f"{manifest[key]}",
+                f"the built index has {key} = {value}, expected "
+                f"{expected_counts[key]} from the manifest",
             )
-    return searcher
+    report.replayed = len(added)
+    report.dropped = dropped
+    if dropped:
+        report.record(
+            name,
+            "inserts",
+            f"dropped {dropped} torn or corrupt line(s) of {INSERTS_FILE} "
+            f"after {len(added)} verified",
+        )
+    return searcher, tail_end
 
 
 def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
+    """The saved sets, not yet frozen: a load appends the tail's."""
     collection = SetCollection()
     try:
         text = data.decode("utf-8")
@@ -546,27 +590,7 @@ def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
         raise _ComponentFailure(
             "collection", f"collection.jsonl is not UTF-8: {exc}"
         ) from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            counts = record["counts"]
-            payload = record["payload"]
-            values = counts.values()
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise _ComponentFailure(
-                "collection", f"line {lineno} does not parse: {exc}"
-            ) from None
-        for count in values:
-            if type(count) is not int or count < 1:
-                raise _ComponentFailure(
-                    "collection",
-                    f"line {lineno} holds count {count!r}, not a positive "
-                    "integer",
-                )
-        collection.add_counts(counts, payload)
-    collection.freeze()
+    _parse_sets(collection, text.splitlines(), "collection")
     if len(collection) != manifest["num_sets"]:
         raise _ComponentFailure(
             "collection",
@@ -574,3 +598,163 @@ def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
             f"{manifest['num_sets']}",
         )
     return collection
+
+
+def _parse_sets(
+    collection: SetCollection, lines: Sequence[Any], component: str
+) -> None:
+    """Append one set per JSON line: its ``counts``, each a positive
+    integer, and its ``payload``.  A tail line (``component`` is
+    ``"inserts"``) also names its kind, and only ``"add"`` is known."""
+    tail = component == "inserts"
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if tail and record.get("kind") != "add":
+                raise StorageError(
+                    f"{INSERTS_FILE} line {lineno} holds unknown op kind "
+                    f"{record.get('kind')!r}"
+                )
+            counts = record["counts"]
+            payload = record["payload"]
+            values = counts.values()
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise _ComponentFailure(
+                component, f"line {lineno} does not parse: {exc}"
+            ) from None
+        for count in values:
+            if type(count) is not int or count < 1:
+                raise _ComponentFailure(
+                    component,
+                    f"line {lineno} holds count {count!r}, not a positive "
+                    "integer",
+                )
+        collection.add_counts(counts, payload)
+
+
+# ----------------------------------------------------------------------
+# durable inserts: a generation's tail
+# ----------------------------------------------------------------------
+def _insert_frame(counts: Dict[str, int], payload: Any) -> bytes:
+    """One tail line: ``<crc32 hex> <JSON record>\n``."""
+    if not all(isinstance(token, str) for token in counts):
+        raise StorageError("a durable insert's tokens must be strings")
+    record = {"kind": "add", "counts": counts, "payload": payload}
+    try:
+        body = json.dumps(record, ensure_ascii=False).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise StorageError(f"insert is not JSON-serializable: {exc}") from None
+    return b"%08x %s\n" % (zlib.crc32(body), body)
+
+
+def _read_inserts(path: Path) -> Tuple[List[bytes], int, int]:
+    """The records of a tail's verified prefix, one JSON line each, that
+    prefix's length in bytes, and how many lines follow it.
+
+    A line is verified when it ends in a newline and passes its CRC.
+    From the first one that does not on, the tail is torn or corrupt.
+    A load writes nothing: :func:`_append_insert` cuts those lines off
+    before the next append.
+    """
+    if not path.exists():
+        return [], 0, 0
+    data = _read_file(path, "persist.read_inserts")
+    added = []
+    end = 0
+    for line in data.split(b"\n")[:-1]:
+        body = line[9:]
+        if line[8:9] != b" " or line[:8] != b"%08x" % zlib.crc32(body):
+            break
+        added.append(body)
+        end += len(line) + 1
+    return added, end, sum(1 for line in data[end:].split(b"\n") if line)
+
+
+def _append_insert(path: Path, end: int, frame: bytes) -> int:
+    """Append one frame, fsynced, to a tail whose verified prefix is
+    ``end`` bytes long, cutting off what a failed append left past it;
+    returns the new length."""
+    faults_runtime.maybe_fire("persist.append_insert")
+    data = faults_runtime.maybe_mangle("persist.append_insert", frame)
+    with open(path, "ab") as fh:
+        if fh.tell() > end:
+            fh.truncate(end)
+        fh.write(data)
+        fh.flush()
+        _fsync_fd(fh.fileno())
+    if end == 0:
+        _fsync_dir(path.parent)  # the file's name is durable too
+    return end + len(data)
+
+
+class DurableUpdatableSearcher(UpdatableSearcher):
+    """An updatable searcher whose inserts survive a crash.
+
+    ``directory`` is a :func:`save_searcher` directory: a fresh one gets
+    the initial sets as its first generation, an existing one is loaded
+    with its skip-list flag (``recovery_report`` counts the tail lines
+    replayed and dropped).  :meth:`add` appends each set to the
+    ``inserts.jsonl`` of the generation ``CURRENT`` names and fsyncs it
+    before applying it; the first append after a load cuts off the
+    lines the load dropped.  A restart starts epoch 0 over every set,
+    so it answers like a fresh build.
+    """
+
+    def __init__(
+        self,
+        directory,
+        initial_sets: Optional[Sequence[Sequence[str]]] = None,
+        payloads: Optional[Sequence[Any]] = None,
+        auto_rebuild_fraction: float = 0.25,
+    ) -> None:
+        directory = Path(directory)
+        existing = (directory / _CURRENT).exists() or (
+            directory / MANIFEST_FILE
+        ).exists()
+        if existing and initial_sets:
+            raise StorageError(
+                f"{directory} already holds an index; initial_sets would "
+                "double-apply (pass one or the other)"
+            )
+        super().__init__(initial_sets, payloads, auto_rebuild_fraction)
+        self.directory = directory
+        self.recovery_report = RecoveryReport(str(directory))
+        self._tail: Optional[Path] = None
+        self._tail_end = 0
+        if existing:  # epoch 0 over every set
+            _, self._tail_end = _load(directory, partial(self._publish, 0))
+            loaded = self.recovery_report.loaded_generation
+            self._tail = directory / loaded / INSERTS_FILE
+        name = _current_name(directory)
+        if name is None or (directory / name / POSTINGS_FILE).exists():
+            self.compact()  # a fresh directory, or an older format
+
+    def add(self, tokens: Sequence[str], payload: Any = None) -> int:
+        """Durably insert one set; returns its id.  A set the searcher
+        would reject changes nothing; a crash after the append replays
+        it, and a failed append leaves memory unchanged."""
+        with self._writer:  # one writer at a time: tail order is id order
+            counts = tf_counts(list(tokens))
+            length = self.stats_epoch.length(counts)
+            frame = _insert_frame(counts, payload)
+            # The tail a restart reads, also after a save that failed
+            # once CURRENT had flipped, or one not made by compact().
+            name = _current_name(self.directory)
+            if name is None:
+                raise StorageError(
+                    f"{self.directory} has no CURRENT to follow"
+                )
+            tail = self.directory / name / INSERTS_FILE
+            if tail != self._tail:
+                self._tail = tail
+                self._tail_end = tail.stat().st_size if tail.exists() else 0
+            self._tail_end = _append_insert(tail, self._tail_end, frame)
+            return self._insert(counts, length, payload)
+
+    def compact(self) -> Dict[str, Any]:
+        """Save the live sets as a new generation, whose tail starts
+        empty; returns its manifest."""
+        with self._writer:
+            return save_searcher(self, self.directory)

@@ -70,10 +70,11 @@ PERSIST_FIXTURES = Path(__file__).parent / "fixtures" / "persist"
 
 @pytest.fixture()
 def legacy_index(tmp_path):
-    """Copy a committed index directory of an older format into
-    ``tmp_path`` and return the copy: ``"v2"`` is a generational format-2
-    directory, ``"v1"`` a flat format-1 one (both hold ``postings.bin``;
-    see ``tests/fixtures/persist/README.md``)."""
+    """Copy a committed index directory of a given format into
+    ``tmp_path`` and return the copy: ``"v3"`` and ``"v2"`` are
+    generational format-3 and format-2 directories, ``"v1"`` a flat
+    format-1 one (v1 and v2 hold ``postings.bin``; see
+    ``tests/fixtures/persist/README.md``)."""
 
     def copy(name):
         target = tmp_path / f"legacy-{name}"

@@ -2,8 +2,8 @@
 
 The contract: a loaded index is indistinguishable from a fresh build of
 the saved collection (records, skip-list landings and every ``IOStats``
-counter), also for the committed directories of formats 1 and 2.  Their
-``postings.bin`` must be exactly what that build encodes; any stored
+counter), also for the committed directories of formats 1, 2 and 3.  The
+``postings.bin`` of formats 1 and 2 must be exactly what that build encodes; any stored
 list a build would not reproduce is rejected as ``postings`` damage,
 also when its checksum is valid and also in a v1 flat directory, which
 has no checksums at all.  From format 2 on the collection's checksum is
@@ -285,7 +285,7 @@ def _two_generations(directory):
 
 
 class TestLegacyFixtures:
-    @pytest.mark.parametrize("name", ["v2", "v1"])
+    @pytest.mark.parametrize("name", ["v3", "v2", "v1"])
     def test_loads_clean_and_equals_fresh_build(self, legacy_index, name):
         loaded = load_searcher(legacy_index(name))
         report = loaded.recovery_report

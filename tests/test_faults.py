@@ -138,7 +138,7 @@ class TestRuleGating:
     def test_mangle_leaves_other_sites_alone(self):
         plan = parse_fault_spec("persist.read_postings:flip:p=1")
         data = b"\x00" * 32
-        assert plan.mangle("storage.oplog_replay", data) == data
+        assert plan.mangle("persist.read_inserts", data) == data
 
     def test_fault_errors_are_oserrors(self):
         # Injected faults model infrastructure failures, so they flow

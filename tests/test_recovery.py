@@ -1,4 +1,4 @@
-"""Crash-recovery tests: corruption, torn writes, and the operations log.
+"""Crash-recovery tests: corruption, torn writes, and durable inserts.
 
 The contract under test, per ``docs/robustness.md``:
 
@@ -9,10 +9,15 @@ The contract under test, per ``docs/robustness.md``:
 * a process killed at **any** injected point during ``save_searcher``
   leaves the directory loadable as the old or the new generation;
 * a damaged current generation is quarantined and the newest intact
-  one takes over, with ``CURRENT`` repaired;
-* the operations log replays its intact prefix and drops (then
-  compacts away) anything after the first torn record.
+  one takes over, with ``CURRENT`` repaired; a read that raises renames
+  nothing;
+* a generation's ``inserts.jsonl`` tail replays its verified prefix;
+  anything from the first torn or corrupt line on is dropped, reported
+  and cut off by the next append, and no acknowledged insert is lost.
 """
+
+import json
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +31,7 @@ from repro import (
 )
 from repro.core.errors import CorruptIndexError, StorageError
 from repro.faults import TornWriteError, use_fault_plan
-from repro.storage.oplog import DurableUpdatableSearcher, OperationsLog
-from repro.storage.persist import RecoveryReport
+from repro.storage.persist import DurableUpdatableSearcher, RecoveryReport
 
 TOKEN_SETS = [
     ["data", "cleaning", "matters"],
@@ -40,7 +44,7 @@ TOKEN_SETS = [
 QUERY = ["data", "cleaning", "quality"]
 
 #: Components a RecoveryReport may blame for a single-file corruption.
-KNOWN_COMPONENTS = {"manifest", "collection", "postings", "pointer", "io"}
+KNOWN_COMPONENTS = {"manifest", "collection", "postings", "pointer"}
 
 
 def _make_searcher():
@@ -221,46 +225,128 @@ class TestGenerationFallback:
         assert _answers(loaded) == _answers(searcher)
 
 
-class TestOperationsLog:
+def _oracle_answers(token_sets, threshold=0.3):
+    oracle = SetSimilaritySearcher(SetCollection.from_token_sets(token_sets))
+    return {
+        (r.set_id, round(r.score, 9))
+        for r in oracle.brute_force(QUERY, threshold)
+    }
+
+
+def _tail(directory):
+    name = (directory / "CURRENT").read_text().strip()
+    return directory / name / "inserts.jsonl"
+
+
+def _frame(record):
+    body = json.dumps(record).encode("utf-8")
+    return b"%08x %s\n" % (zlib.crc32(body), body)
+
+
+class TestInsertsTail:
+    """A generation's ``inserts.jsonl``: CRC-framed, fsynced lines that a
+    load replays up to the first torn or corrupt one."""
+
     def test_round_trip(self, tmp_path):
-        log = OperationsLog(tmp_path / "oplog.jsonl")
-        ops = [{"kind": "add", "tokens": ["a", str(i)]} for i in range(5)]
-        for op in ops:
-            log.append(op)
-        replayed, dropped = log.replay()
-        assert replayed == ops and dropped == 0
+        s = DurableUpdatableSearcher(tmp_path)
+        for i in range(5):
+            s.add(["a", str(i)], payload=i)
+        assert len(_tail(tmp_path).read_bytes().splitlines()) == 5
+        s2 = DurableUpdatableSearcher(tmp_path)
+        report = s2.recovery_report
+        assert (report.replayed, report.dropped) == (5, 0) and report.clean
+        assert [(r.counts, r.payload) for r in s2.collection] == [
+            ({"a": 1, str(i): 1}, i) for i in range(5)
+        ]
 
     def test_torn_tail_dropped(self, tmp_path):
-        log = OperationsLog(tmp_path / "oplog.jsonl")
-        log.append({"kind": "add", "tokens": ["a"]})
-        log.append({"kind": "add", "tokens": ["b"]})
-        with open(log.path, "ab") as fh:
-            fh.write(b"00000000 {\"kind\": \"add\", \"tok")  # torn append
-        replayed, dropped = log.replay()
-        assert len(replayed) == 2 and dropped == 1
+        s = DurableUpdatableSearcher(tmp_path)
+        s.add(["a"])
+        s.add(["b"])
+        with open(_tail(tmp_path), "ab") as fh:
+            fh.write(b'00000000 {"kind": "add", "cou')  # torn append
+        report = load_searcher(tmp_path).recovery_report
+        assert (report.replayed, report.dropped) == (2, 1)
+        assert report.components() == ["inserts"]
 
-    def test_mid_log_corruption_truncates_the_rest(self, tmp_path):
-        log = OperationsLog(tmp_path / "oplog.jsonl")
+    def test_mid_tail_corruption_drops_the_rest(self, tmp_path):
+        s = DurableUpdatableSearcher(tmp_path)
         for name in ("a", "b", "c"):
-            log.append({"kind": "add", "tokens": [name]})
-        lines = log.path.read_bytes().splitlines(keepends=True)
+            s.add([name])
+        tail = _tail(tmp_path)
+        lines = tail.read_bytes().splitlines(keepends=True)
         lines[1] = b"deadbeef" + lines[1][8:]  # break record 2's CRC
-        log.path.write_bytes(b"".join(lines))
-        replayed, dropped = log.replay()
+        tail.write_bytes(b"".join(lines))
+        s2 = DurableUpdatableSearcher(tmp_path)
         # Everything after the first bad record is suspect.
-        assert [op["tokens"] for op in replayed] == [["a"]]
-        assert dropped == 2
+        assert [r.counts for r in s2.collection] == [{"a": 1}]
+        assert s2.recovery_report.dropped == 2
+        s2.add(["d"])  # lands after the verified prefix
+        s3 = DurableUpdatableSearcher(tmp_path)
+        assert [r.counts for r in s3.collection] == [{"a": 1}, {"d": 1}]
+        assert (s3.recovery_report.replayed, s3.recovery_report.dropped) == (
+            2,
+            0,
+        )
 
-    def test_compact_rewrites_exactly(self, tmp_path):
-        log = OperationsLog(tmp_path / "oplog.jsonl")
+    def test_compact_writes_a_generation_without_tail(self, tmp_path):
+        s = DurableUpdatableSearcher(tmp_path)
         for i in range(10):
-            log.append({"kind": "add", "tokens": [str(i)]})
-        before = log.size_bytes()
-        log.compact([{"kind": "add", "tokens": ["only"]}])
-        assert log.size_bytes() < before
-        replayed, dropped = log.replay()
-        assert replayed == [{"kind": "add", "tokens": ["only"]}]
-        assert dropped == 0
+            s.add([str(i)])
+        before = _tail(tmp_path)
+        s.compact()
+        assert _tail(tmp_path) != before and not _tail(tmp_path).exists()
+        s.add(["only"])
+        s2 = DurableUpdatableSearcher(tmp_path)
+        assert (s2.recovery_report.replayed, len(s2)) == (1, 11)
+
+    @pytest.mark.parametrize("compactions", [0, 1])
+    @pytest.mark.parametrize(
+        "site",
+        ["persist.read_manifest", "persist.read_collection",
+         "persist.read_inserts"],
+    )
+    def test_failed_read_changes_nothing(self, tmp_path, site, compactions):
+        # A read that raises proves no damage: with an older generation
+        # to fall back to, a fallback would lose the acknowledged adds.
+        s = DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
+        for _ in range(compactions):
+            s.add(["only", "before"])
+            s.compact()
+        s.add(TOKEN_SETS[2])
+        s.add(TOKEN_SETS[3])
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        current = (tmp_path / "CURRENT").read_bytes()
+        tail = _tail(tmp_path).read_bytes()
+        for load in (DurableUpdatableSearcher, load_searcher):
+            with use_fault_plan(f"{site}:transient:count=1"):
+                with pytest.raises(OSError):
+                    load(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
+        assert (tmp_path / "CURRENT").read_bytes() == current
+        assert _tail(tmp_path).read_bytes() == tail
+        s2 = DurableUpdatableSearcher(tmp_path)
+        assert s2.recovery_report.clean
+        assert len(s2) == len(s) == 4 + compactions
+
+    def test_unterminated_last_frame_is_torn(self, tmp_path):
+        s = DurableUpdatableSearcher(tmp_path)
+        for name in ("a", "b", "c"):
+            s.add([name])
+        tail = _tail(tmp_path)
+        tail.write_bytes(tail.read_bytes()[:-1])  # only the "\n" is lost
+        s2 = DurableUpdatableSearcher(tmp_path)
+        report = s2.recovery_report
+        assert (report.replayed, report.dropped) == (2, 1)
+        s2.add(["acknowledged"])
+        s3 = DurableUpdatableSearcher(tmp_path)
+        assert (s3.recovery_report.replayed, s3.recovery_report.dropped) == (
+            3,
+            0,
+        )
+        assert [r.counts for r in s3.collection] == [
+            {"a": 1}, {"b": 1}, {"acknowledged": 1}
+        ]
 
 
 class TestDurableUpdatableSearcher:
@@ -268,24 +354,36 @@ class TestDurableUpdatableSearcher:
         s = DurableUpdatableSearcher(
             tmp_path, initial_sets=TOKEN_SETS[:3]
         )
+        assert not _tail(tmp_path).exists()  # initial sets: one save
         s.add(TOKEN_SETS[3])
         s.add(TOKEN_SETS[4], payload="five")
-        expected = _answers(s)
 
         s2 = DurableUpdatableSearcher(tmp_path)
-        assert s2.replayed == 5 and s2.dropped == 0
-        assert _answers(s2) == expected
+        # The generation holds 3 sets; a restart reads only the 2 added.
+        assert s2.recovery_report.replayed == 2
+        assert s2.recovery_report.dropped == 0
+        assert s2.epoch == 0 and s2.pending == 0
+        assert _answers(s2) == _oracle_answers(TOKEN_SETS)
+        assert _answers(load_searcher(tmp_path)) == _answers(s2)
         assert s2.payload(4) == "five"
 
     def test_torn_tail_dropped_and_compacted(self, tmp_path):
         s = DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
-        with open(s.log.path, "ab") as fh:
-            fh.write(b"deadbeef {\"kind\": \"add\"")  # crash mid-append
+        s.add(TOKEN_SETS[2])
+        with open(_tail(tmp_path), "ab") as fh:
+            fh.write(b'deadbeef {"kind": "add"')  # crash mid-append
+        torn = _tail(tmp_path).read_bytes()
         s2 = DurableUpdatableSearcher(tmp_path)
-        assert s2.replayed == 2 and s2.dropped == 1
-        # The tear was compacted away: a third load sees a clean log.
+        assert s2.recovery_report.replayed == 1
+        assert s2.recovery_report.dropped == 1
+        # A load writes nothing; the next append cuts the tear off, so
+        # a third load sees a clean tail.
+        assert load_searcher(tmp_path).recovery_report.dropped == 1
+        assert _tail(tmp_path).read_bytes() == torn
+        s2.add(TOKEN_SETS[3])
         s3 = DurableUpdatableSearcher(tmp_path)
-        assert s3.replayed == 2 and s3.dropped == 0
+        assert s3.recovery_report.clean and len(s3) == 4
+        assert s3.recovery_report.replayed == 2
 
     def test_compact_replays_the_same_sets(self, tmp_path):
         s = DurableUpdatableSearcher(
@@ -293,14 +391,29 @@ class TestDurableUpdatableSearcher:
         )
         s.add(["data", "data", "cleaning"], payload="dup")  # a multiset
         s.add(TOKEN_SETS[3])
-        assert s.compact() == 5
+        assert s.compact()["num_sets"] == 5
         s2 = DurableUpdatableSearcher(tmp_path)
-        assert s2.replayed == 5
+        assert s2.recovery_report.replayed == 0
         assert [(r.counts, r.payload) for r in s2.collection] == [
             (r.counts, r.payload) for r in s.collection
         ]
         s.rebuild()
         assert _answers(s2) == _answers(s)
+
+    def test_skip_list_flag_is_kept(self, tmp_path):
+        save_searcher(
+            SetSimilaritySearcher(
+                SetCollection.from_token_sets(TOKEN_SETS[:2]),
+                with_skip_lists=False,
+            ),
+            tmp_path,
+        )
+        s = DurableUpdatableSearcher(tmp_path)
+        s.add(TOKEN_SETS[2])
+        s.rebuild()
+        assert not s.index.with_skip_lists
+        assert s.compact()["with_skip_lists"] is False
+        assert not DurableUpdatableSearcher(tmp_path).index.with_skip_lists
 
     def test_double_apply_guard(self, tmp_path):
         DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
@@ -308,16 +421,83 @@ class TestDurableUpdatableSearcher:
             DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
 
     def test_unknown_op_kind_rejected(self, tmp_path):
-        log = OperationsLog(tmp_path / "oplog.jsonl")
-        log.append({"kind": "drop-table", "tokens": []})
-        with pytest.raises(StorageError):
+        DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
+        _tail(tmp_path).write_bytes(
+            _frame({"kind": "drop-table", "counts": {}, "payload": None})
+        )
+        with pytest.raises(StorageError, match="drop-table"):
             DurableUpdatableSearcher(tmp_path)
 
     def test_failed_append_leaves_memory_unchanged(self, tmp_path):
         s = DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
-        with use_fault_plan("storage.oplog_append:torn:p=1"):
+        with use_fault_plan("persist.append_insert:torn:p=1"):
             with pytest.raises(TornWriteError):
                 s.add(["never", "applied"])
         assert len(s) == 2
         s2 = DurableUpdatableSearcher(tmp_path)
-        assert s2.replayed == 2
+        assert len(s2) == 2 and s2.recovery_report.replayed == 0
+
+    @pytest.mark.parametrize(
+        "tokens,error", [(["x", 3], TypeError), ([3], StorageError)]
+    )
+    def test_rejected_set_is_not_appended(self, tmp_path, tokens, error):
+        s = DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
+        s.add(TOKEN_SETS[2])
+        before = _tail(tmp_path).read_bytes()
+        with pytest.raises(error):
+            s.add(tokens)
+        assert _tail(tmp_path).read_bytes() == before and len(s) == 3
+        s2 = DurableUpdatableSearcher(tmp_path)
+        assert [r.counts for r in s2.collection] == [
+            r.counts for r in s.collection
+        ]
+
+    def test_inserts_follow_current(self, tmp_path):
+        # The sixth fsync of a save is the directory's, after CURRENT
+        # already names the new generation: later inserts go to its tail.
+        s = DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
+        with use_fault_plan("persist.fsync:torn:count=1:after=5"):
+            with pytest.raises(TornWriteError):
+                s.compact()
+        assert (tmp_path / "CURRENT").read_text().strip() == "gen-000002"
+        s.add(TOKEN_SETS[2])
+        s2 = DurableUpdatableSearcher(tmp_path)
+        assert s2.recovery_report.replayed == 1 and len(s2) == 3
+        # So do inserts after a save that compact() did not make.
+        save_searcher(s2, tmp_path)
+        s2.add(TOKEN_SETS[3])
+        s3 = DurableUpdatableSearcher(tmp_path)
+        assert s3.recovery_report.replayed == 1 and len(s3) == 4
+
+    def test_generations_are_bounded(self, tmp_path):
+        s = DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
+        for tokens in TOKEN_SETS[2:]:
+            s.add(tokens)
+            s.compact()
+        s.compact()
+        s.compact()
+        generations = sorted(
+            p.name for p in tmp_path.iterdir() if p.name.startswith("gen-")
+        )
+        assert generations == ["gen-000005", "gen-000006"]
+        # A damaged current generation falls back to the other one.
+        (tmp_path / "gen-000006" / "manifest.json").write_text("{not json")
+        s2 = DurableUpdatableSearcher(tmp_path)
+        assert s2.recovery_report.loaded_generation == "gen-000005"
+        assert s2.recovery_report.quarantined == ["gen-000006.corrupt"]
+        assert _answers(s2) == _oracle_answers(TOKEN_SETS)
+        s2.compact()
+        assert (tmp_path / "gen-000006.corrupt").is_dir()
+
+    @pytest.mark.parametrize("name", ["v1", "v2"])
+    def test_older_format_is_saved_before_inserts(self, legacy_index, name):
+        # postings.bin pins the saved sets' lists, so an older format's
+        # directory gets a current generation before any insert.
+        directory = legacy_index(name)
+        s = DurableUpdatableSearcher(directory)
+        s.add(["data", "quality"])
+        s2 = DurableUpdatableSearcher(directory)
+        generation = directory / s2.recovery_report.loaded_generation
+        manifest = json.loads((generation / "manifest.json").read_text())
+        assert manifest["format_version"] == 3
+        assert s2.recovery_report.replayed == 1 and len(s2) == 7
