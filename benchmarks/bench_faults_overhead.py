@@ -30,14 +30,14 @@ in two exact units that repeat run to run and machine to machine:
 executed bytecodes (``sys.settrace`` with ``frame.f_trace_opcodes``) and
 calls into C (``sys.setprofile`` ``c_call`` events, so a disabled path
 that calls an expensive builtin cannot look free).  Disabled may exceed
-stripped by at most ``COUNT_BOUND`` (2%) in each, smoke run or not.
+stripped by at most ``conftest.COUNT_BOUND`` (2%) in each, smoke run or
+not.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 from pathlib import Path
 
@@ -46,7 +46,13 @@ from repro.eval.harness import format_table
 from repro.faults import parse_fault_spec, use_fault_plan
 from repro.faults import runtime as faults_runtime
 
-from conftest import MIN_SAMPLE_SECONDS, interleaved_sample, write_result
+from conftest import (
+    MIN_SAMPLE_SECONDS,
+    assert_counts_within_bound,
+    counted_overhead,
+    interleaved_sample,
+    write_result,
+)
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_faults.json"
 
@@ -57,7 +63,6 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip().lower() in {
 }
 ROUNDS = 3 if SMOKE else 9
 OVERHEAD_BOUND = 0.10 if SMOKE else 0.02
-COUNT_BOUND = 0.02
 
 
 def _prepared_workload(context, workload):
@@ -69,42 +74,6 @@ def _run_workload(algorithm, queries):
     for query in queries:
         algorithm.search(query, TAU)
     return time.perf_counter() - started
-
-
-def _opcodes(run) -> int:
-    """Bytecodes executed by ``run()``."""
-    count = 0
-
-    def tracer(frame, event, arg):
-        nonlocal count
-        frame.f_trace_opcodes = True
-        if event == "opcode":
-            count += 1
-        return tracer
-
-    sys.settrace(tracer)
-    try:
-        run()
-    finally:
-        sys.settrace(None)
-    return count
-
-
-def _c_calls(run) -> int:
-    """Calls into C functions made by ``run()``."""
-    count = 0
-
-    def profiler(frame, event, arg):
-        nonlocal count
-        if event == "c_call":
-            count += 1
-
-    sys.setprofile(profiler)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return count
 
 
 def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
@@ -149,15 +118,7 @@ def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
     disabled_overhead = best["disabled"] / best["stripped"] - 1.0
     armed_overhead = best["armed"] / best["stripped"] - 1.0
 
-    counts = {
-        (unit, mode): counter(lambda: timed(mode))
-        for unit, counter in (("opcodes", _opcodes), ("c_calls", _c_calls))
-        for mode in ("stripped", "disabled")
-    }
-    count_overhead = {
-        unit: counts[unit, "disabled"] / counts[unit, "stripped"] - 1.0
-        for unit in ("opcodes", "c_calls")
-    }
+    counts = counted_overhead(timed)
 
     record = {
         "corpus_records": len(context.collection),
@@ -173,16 +134,7 @@ def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
         "armed_overhead_pct": round(armed_overhead * 100.0, 3),
         "overhead_bound_pct": OVERHEAD_BOUND * 100.0,
         "armed_injections": armed_plan.injected_total(),
-        **{
-            f"{mode}_{unit}": counts[unit, mode]
-            for unit in ("opcodes", "c_calls")
-            for mode in ("stripped", "disabled")
-        },
-        **{
-            f"disabled_{unit}_overhead_pct": round(value * 100.0, 3)
-            for unit, value in count_overhead.items()
-        },
-        "count_bound_pct": COUNT_BOUND * 100.0,
+        **counts,
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
 
@@ -199,6 +151,5 @@ def test_disarmed_overhead_on_sf_hot_path(context, default_workload,
     # The armed plan's rule targets a persistence-only site: the search
     # workload must never have tripped it.
     assert record["armed_injections"] == 0
-    for value in count_overhead.values():
-        assert value <= COUNT_BOUND, record
+    assert_counts_within_bound(record)
     assert disabled_overhead <= OVERHEAD_BOUND, record

@@ -24,6 +24,12 @@ seconds per pass: a single pass of a few ms reads machine noise.  Set
 ``REPRO_BENCH_SMOKE=1`` for CI's gross-regression tripwire: fewer
 rounds and a 10% bound, because shared runners cannot resolve 2%.
 
+Beside the clock, one pass of each of stripped and disabled is counted
+in executed bytecodes and in calls into C, two units that repeat
+exactly run to run (``conftest.counted_overhead``).  Disabled may exceed
+stripped by at most ``conftest.COUNT_BOUND`` (2%) in each, smoke run or
+not; the counts are recorded in ``BENCH_obs.json`` too.
+
 A second test replays the workload per algorithm with metrics enabled
 and checks the *registry itself* reproduces the paper's pruning order
 (Figure 7): ``elements_read_total{algo=sf}`` < ``inra`` < ``nra``.
@@ -40,7 +46,13 @@ from repro.algorithms.base import SelectionAlgorithm, make_algorithm
 from repro.eval.harness import format_table
 from repro.obs import metrics as obs_metrics
 
-from conftest import MIN_SAMPLE_SECONDS, interleaved_sample, write_result
+from conftest import (
+    MIN_SAMPLE_SECONDS,
+    assert_counts_within_bound,
+    counted_overhead,
+    interleaved_sample,
+    write_result,
+)
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
@@ -99,6 +111,7 @@ def test_disabled_overhead_on_sf_hot_path(context, default_workload,
 
     disabled_overhead = best["disabled"] / best["stripped"] - 1.0
     enabled_overhead = best["enabled"] / best["stripped"] - 1.0
+    counts = counted_overhead(timed)
 
     record = {
         "corpus_records": len(context.collection),
@@ -113,6 +126,7 @@ def test_disabled_overhead_on_sf_hot_path(context, default_workload,
         "disabled_overhead_pct": round(disabled_overhead * 100.0, 3),
         "enabled_overhead_pct": round(enabled_overhead * 100.0, 3),
         "overhead_bound_pct": OVERHEAD_BOUND * 100.0,
+        **counts,
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
 
@@ -126,6 +140,7 @@ def test_disabled_overhead_on_sf_hot_path(context, default_workload,
         format_table(rows, ["mode", "seconds", "vs_stripped"]),
     )
 
+    assert_counts_within_bound(record)
     assert disabled_overhead <= OVERHEAD_BOUND, record
 
 

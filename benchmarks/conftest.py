@@ -14,6 +14,8 @@ so the regenerated rows survive pytest's output capture.
 
 from __future__ import annotations
 
+import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Sequence
 
@@ -105,3 +107,71 @@ def interleaved_sample(
             totals[mode] += run_pass(mode)
         passes += 1
     return {mode: total / passes for mode, total in totals.items()}
+
+
+COUNT_BOUND = 0.02
+"""Most a disabled mode may add over stripped in each counted unit."""
+
+
+def count_opcodes(run: Callable[[], object]) -> int:
+    """Bytecodes executed by ``run()``."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            count += 1
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def count_c_calls(run: Callable[[], object]) -> int:
+    """Calls into C functions made by ``run()``."""
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if event == "c_call":
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def counted_overhead(run_pass: Callable[[str], object]) -> Dict[str, float]:
+    """One pass in each of the ``stripped`` and ``disabled`` modes, counted
+    in executed bytecodes and in calls into C.
+
+    Unlike the clock, both units repeat exactly run to run and machine to
+    machine, so a 2% bound on them holds on any runner; counting C calls
+    too keeps a disabled path that calls an expensive builtin from
+    looking free.  Returns each mode's counts and disabled's overhead in
+    percent, keyed as the ``BENCH_*.json`` records hold them.
+    """
+    record: Dict[str, float] = {}
+    for unit, counter in (("opcodes", count_opcodes), ("c_calls", count_c_calls)):
+        for mode in ("stripped", "disabled"):
+            record[f"{mode}_{unit}"] = counter(partial(run_pass, mode))
+        overhead = record[f"disabled_{unit}"] / record[f"stripped_{unit}"] - 1.0
+        record[f"disabled_{unit}_overhead_pct"] = round(overhead * 100.0, 3)
+    record["count_bound_pct"] = COUNT_BOUND * 100.0
+    return record
+
+
+def assert_counts_within_bound(record: Dict[str, float]) -> None:
+    """Disabled executes at most ``COUNT_BOUND`` more than stripped, in
+    bytecodes and in C calls."""
+    for unit in ("opcodes", "c_calls"):
+        limit = record[f"stripped_{unit}"] * (1.0 + COUNT_BOUND)
+        assert record[f"disabled_{unit}"] <= limit, (unit, record)

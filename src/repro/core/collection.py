@@ -1,9 +1,10 @@
 """SetCollection: the database of token sets the algorithms search over.
 
-A collection assigns every set a dense integer id (0..N-1), retains both the
-set view (distinct tokens, used by IDF) and the multiset counts (used by
-TF/IDF and BM25), and computes the corpus :class:`~repro.core.weights.IdfStatistics`
-and per-set normalized lengths once, on demand.
+A collection assigns every set a dense integer id (0..N-1) and stores each
+set once, as its multiset token counts (used by TF/IDF and BM25); the set
+view IDF uses is the keys of those counts.  It computes the corpus
+:class:`~repro.core.weights.IdfStatistics` and per-set normalized lengths
+once, on demand.
 
 The paper's experiments store one *word* per set (each word decomposed into
 3-grams) with an identifier encoding its location in the base table; here the
@@ -21,6 +22,7 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
+    KeysView,
     List,
     Optional,
     Sequence,
@@ -32,27 +34,29 @@ from .weights import IdfStatistics, tf_counts
 
 
 class SetRecord:
-    """One database entry: id, distinct-token set, multiset counts, payload."""
+    """One database entry: id, multiset token counts, payload."""
 
-    __slots__ = ("set_id", "tokens", "counts", "payload")
+    __slots__ = ("set_id", "counts", "payload")
 
     def __init__(
-        self,
-        set_id: int,
-        tokens: frozenset,
-        counts: Dict[str, int],
-        payload: Any = None,
+        self, set_id: int, counts: Dict[str, int], payload: Any = None
     ) -> None:
         self.set_id = set_id
-        self.tokens = tokens
         self.counts = counts
         self.payload = payload
 
+    @property
+    def tokens(self) -> KeysView[str]:
+        """The distinct tokens: a read-only view of ``counts``' keys,
+        which answers ``in``, ``len``, iteration, ``&``, ``|`` and ``==``
+        like a frozenset (but is neither hashable nor picklable)."""
+        return self.counts.keys()
+
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.counts)
 
     def __repr__(self) -> str:
-        return f"SetRecord(id={self.set_id}, size={len(self.tokens)})"
+        return f"SetRecord(id={self.set_id}, size={len(self.counts)})"
 
 
 class SetCollection:
@@ -105,16 +109,14 @@ class SetCollection:
         coll = cls()
         for i, toks in enumerate(token_sets):
             payload = payloads[i] if payloads is not None else None
-            coll.add(list(toks), payload=payload)
+            coll.add(toks, payload=payload)
         coll.freeze()
         return coll
 
     def add(self, tokens: Sequence[str], payload: Any = None) -> int:
         """Append one set; returns its id. Empty token lists are allowed
         (they simply never match anything)."""
-        if self._frozen:
-            raise ConfigurationError("collection is frozen; cannot add")
-        return self._append(tokens, payload)
+        return self.add_counts(tf_counts(list(tokens)), payload)
 
     def add_counts(self, counts: Dict[str, int], payload: Any = None) -> int:
         """Append one set given as token counts (its multiset view, as
@@ -124,16 +126,8 @@ class SetCollection:
             raise ConfigurationError("collection is frozen; cannot add")
         return self._append_counts(counts, payload)
 
-    def _append(self, tokens: Sequence[str], payload: Any) -> int:
-        return self._append_counts(tf_counts(list(tokens)), payload)
-
     def _append_counts(self, counts: Dict[str, int], payload: Any) -> int:
-        rec = SetRecord(
-            set_id=len(self._records),
-            tokens=frozenset(counts),
-            counts=counts,
-            payload=payload,
-        )
+        rec = SetRecord(len(self._records), counts, payload)
         self._records.append(rec)
         self._generation += 1
         return rec.set_id
@@ -171,7 +165,7 @@ class SetCollection:
     def payload(self, set_id: int) -> Any:
         return self._records[set_id].payload
 
-    def token_sets(self) -> Iterator[frozenset]:
+    def token_sets(self) -> Iterator[KeysView[str]]:
         for rec in self._records:
             yield rec.tokens
 

@@ -58,8 +58,11 @@ def idf_similarity(
     denom = q_length * s_length
     if denom <= 0.0:
         return 0.0
-    common = q & s
-    num = sum(stats.idf_squared(t) for t in common)
+    # Plain float adds in sorted-token order, as in normalized_length: the
+    # score is then independent of set iteration order (the hash seed).
+    num = 0.0
+    for t in sorted(q & s):
+        num += stats.idf_squared(t)
     return num / denom
 
 

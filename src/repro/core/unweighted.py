@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Iterable, List, Sequence
+from typing import AbstractSet, Iterable, List, Sequence
 
 from ..algorithms.base import AlgorithmResult, SearchResult
 from .collection import SetCollection
@@ -61,17 +61,17 @@ class UnweightedSetCollection(SetCollection):
         return self._stats
 
 
-def jaccard_score(q: frozenset, s: frozenset) -> float:
+def jaccard_score(q: AbstractSet[str], s: AbstractSet[str]) -> float:
     union = len(q | s)
     return len(q & s) / union if union else 1.0
 
 
-def dice_score(q: frozenset, s: frozenset) -> float:
+def dice_score(q: AbstractSet[str], s: AbstractSet[str]) -> float:
     denom = len(q) + len(s)
     return 2 * len(q & s) / denom if denom else 1.0
 
 
-def cosine_score(q: frozenset, s: frozenset) -> float:
+def cosine_score(q: AbstractSet[str], s: AbstractSet[str]) -> float:
     denom = math.sqrt(len(q) * len(s))
     return len(q & s) / denom if denom else 1.0
 

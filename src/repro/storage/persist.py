@@ -23,8 +23,11 @@ Generation layout (format version 3)::
       CURRENT              # text: name of the live generation
       gen-000001/
         manifest.json      # version, skip-list flag, counts, sha256
-        collection.jsonl   # one JSON object per set, in id order
+        collection.jsonl   # per set, in id order: {"counts": …, "payload": …}
         inserts.jsonl      # optional: CRC-framed sets added since the save
+
+Earlier format-3 lines also hold ``"tokens"``, the keys of ``counts``;
+a load reads only ``counts`` and ``payload``, so both kinds load.
 
 A save writes a fresh generation into a hidden temp directory, fsyncs
 every file, writes the manifest *last* (so a manifest can never name
@@ -211,25 +214,27 @@ def _read_file(path: Path, site: str) -> bytes:
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _record_json(what: str, record: Dict[str, Any]) -> str:
+    """A set's saved record as one JSON line; a token that is not a
+    string (JSON would make it one) is a :class:`StorageError`."""
+    if not all(isinstance(token, str) for token in record["counts"]):
+        raise StorageError(f"{what}'s tokens must be strings")
+    try:
+        return _encode(record)
+    except (TypeError, ValueError) as exc:
+        raise StorageError(f"{what} is not JSON-serializable: {exc}") from None
+
+
 def _collection_bytes(collection: SetCollection) -> bytes:
-    encode = json.JSONEncoder(ensure_ascii=False).encode
-    lines = []
-    for rec in collection:
-        try:
-            lines.append(
-                encode(
-                    {
-                        "tokens": sorted(rec.tokens),
-                        "counts": rec.counts,
-                        "payload": rec.payload,
-                    }
-                )
-            )
-        except TypeError as exc:
-            raise StorageError(
-                f"payload of set {rec.set_id} is not JSON-serializable: "
-                f"{exc}"
-            ) from None
+    lines = [
+        _record_json(
+            f"set {rec.set_id}", {"counts": rec.counts, "payload": rec.payload}
+        )
+        for rec in collection
+    ]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
 
 
@@ -254,32 +259,6 @@ def _counts(index: InvertedIndex) -> Dict[str, int]:
         "num_tokens": len(index.tokens()),
         "num_postings": index.num_postings(),
     }
-
-
-def _write_payload_files(directory: Path, searcher) -> Dict[str, Any]:
-    """Write the collection first (fsynced), then the manifest naming it.
-
-    The ordering is the point: a manifest must never name bytes that
-    were not flushed, so a crash between the two leaves a directory
-    whose manifest (old or absent) matches what is actually on disk.
-    """
-    collection_data = _collection_bytes(searcher.collection)
-    _write_file(
-        directory / COLLECTION_FILE, collection_data, "persist.write_collection"
-    )
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "num_sets": len(searcher.collection),
-        **_counts(searcher.index),
-        "with_skip_lists": searcher.index.with_skip_lists,
-        "checksums": {COLLECTION_FILE: _sha256(collection_data)},
-    }
-    _write_file(
-        directory / MANIFEST_FILE,
-        json.dumps(manifest, indent=2).encode("utf-8"),
-        "persist.write_manifest",
-    )
-    return manifest
 
 
 # ----------------------------------------------------------------------
@@ -345,6 +324,15 @@ def save_searcher(searcher: SetSimilaritySearcher, path) -> Dict[str, Any]:
     new one and the one ``CURRENT`` named before.  Returns the manifest
     that was written.
     """
+    # Encoded first: a set that cannot be saved leaves no trace on disk.
+    collection_data = _collection_bytes(searcher.collection)
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "num_sets": len(searcher.collection),
+        **_counts(searcher.index),
+        "with_skip_lists": searcher.index.with_skip_lists,
+        "checksums": {COLLECTION_FILE: _sha256(collection_data)},
+    }
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     _clean_stale_tmp(directory)
@@ -352,7 +340,16 @@ def save_searcher(searcher: SetSimilaritySearcher, path) -> Dict[str, Any]:
     gen_name = _next_generation_name(directory)
     tmp_dir = directory / (_TMP_PREFIX + gen_name)
     tmp_dir.mkdir()
-    manifest = _write_payload_files(tmp_dir, searcher)
+    # The collection first (fsynced), then the manifest naming it: a
+    # manifest never names bytes that were not flushed.
+    _write_file(
+        tmp_dir / COLLECTION_FILE, collection_data, "persist.write_collection"
+    )
+    _write_file(
+        tmp_dir / MANIFEST_FILE,
+        json.dumps(manifest, indent=2).encode("utf-8"),
+        "persist.write_manifest",
+    )
     _fsync_dir(tmp_dir)
     # Promotion: rename the fully-flushed temp directory, make the
     # rename durable, then flip CURRENT.  A crash before the final
@@ -639,13 +636,9 @@ def _parse_sets(
 # ----------------------------------------------------------------------
 def _insert_frame(counts: Dict[str, int], payload: Any) -> bytes:
     """One tail line: ``<crc32 hex> <JSON record>\n``."""
-    if not all(isinstance(token, str) for token in counts):
-        raise StorageError("a durable insert's tokens must be strings")
-    record = {"kind": "add", "counts": counts, "payload": payload}
-    try:
-        body = json.dumps(record, ensure_ascii=False).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise StorageError(f"insert is not JSON-serializable: {exc}") from None
+    body = _record_json(
+        "a durable insert", {"kind": "add", "counts": counts, "payload": payload}
+    ).encode("utf-8")
     return b"%08x %s\n" % (zlib.crc32(body), body)
 
 

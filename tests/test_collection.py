@@ -1,7 +1,16 @@
 """Unit tests for repro.core.collection."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import (
+    DurableUpdatableSearcher,
+    SetSimilaritySearcher,
+    UpdatableSearcher,
+    load_searcher,
+    save_searcher,
+)
 from repro.core.collection import (
     SetCollection,
     SetRecord,
@@ -119,3 +128,53 @@ class TestSummary:
         assert "building" in repr(coll)
         coll.freeze()
         assert "frozen" in repr(coll)
+
+
+_TOKENS = st.lists(st.sampled_from("abcdef"), max_size=8)
+
+
+class TestSingleRepresentation:
+    """A record stores its set once, as ``counts``; ``tokens`` is a view."""
+
+    @given(tokens=_TOKENS, other=_TOKENS)
+    @settings(max_examples=200, deadline=None)
+    def test_tokens_answer_like_a_frozenset(self, tokens, other):
+        rec = SetCollection.from_token_sets([tokens])[0]
+        view, expected = rec.tokens, frozenset(rec.counts)
+        other = frozenset(other)
+        for token in "abcdefg":
+            assert (token in view) == (token in expected)
+        assert len(view) == len(expected) == len(rec)
+        assert len(list(view)) == len(expected)
+        assert set(view) == expected
+        assert sorted(view) == sorted(expected)
+        assert view & other == expected & other == other & view
+        assert view | other == expected | other == other | view
+        assert (view == other) == (expected == other) == (other == view)
+        assert view == expected and expected == view
+
+    def test_record_slots(self):
+        assert SetRecord.__slots__ == ("set_id", "counts", "payload")
+
+    def test_no_record_holds_a_token_set(self, tmp_path):
+        sets = [["a", "b"], ["b", "c", "c"]]
+        built = SetSimilaritySearcher(SetCollection.from_token_sets(sets))
+        save_searcher(built, tmp_path / "saved")
+        live = UpdatableSearcher(sets)
+        live.add(["c", "d"])
+        durable = DurableUpdatableSearcher(tmp_path / "durable", sets)
+        durable.add(["c", "d"])
+        searchers = (
+            built,
+            load_searcher(tmp_path / "saved"),
+            live,
+            durable,
+            DurableUpdatableSearcher(tmp_path / "durable"),
+        )
+        for searcher in searchers:
+            for rec in searcher.collection:
+                assert not hasattr(rec, "__dict__")
+                assert type(rec.counts) is dict
+                for slot in type(rec).__slots__:
+                    value = getattr(rec, slot)
+                    assert not isinstance(value, (set, frozenset)), slot

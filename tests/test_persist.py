@@ -70,6 +70,16 @@ class TestRoundTrip:
         assert loaded.collection.payload(0) == "alpha beta"
         assert loaded.collection.payload(1) == "gamma delta"
 
+    def test_saved_lines_hold_counts_and_payload(self, saved):
+        # Each set is saved once, as its counts: no "tokens" beside them.
+        path, _m, searcher = saved
+        lines = (path / "collection.jsonl").read_text().splitlines()
+        assert len(lines) == len(searcher.collection)
+        for line, rec in zip(lines, searcher.collection):
+            record = json.loads(line)
+            assert list(record) == ["counts", "payload"]
+            assert record["counts"] == rec.counts
+
     def test_multiset_counts_survive(self, tmp_path):
         coll = SetCollection.from_token_sets([["a", "a", "b"]])
         save_searcher(SetSimilaritySearcher(coll), tmp_path / "x")
@@ -215,6 +225,23 @@ class TestFailureModes:
         coll.freeze()
         with pytest.raises(StorageError):
             save_searcher(SetSimilaritySearcher(coll), tmp_path / "bad")
+
+    def test_non_string_tokens_rejected_before_writing(self, tmp_path):
+        # JSON would save int tokens as strings, and the loaded index
+        # would then miss every query for the ints.
+        directory = tmp_path / "ints"
+        good = SetSimilaritySearcher(SetCollection.from_token_sets([["a"]]))
+        save_searcher(good, directory)
+        ints = SetSimilaritySearcher(
+            SetCollection.from_token_sets([[1, 2], [2, 3], [3, 4, 5]])
+        )
+        assert [r.set_id for r in ints.search([1, 2], 0.5).results] == [0]
+        with pytest.raises(StorageError, match="must be strings"):
+            save_searcher(ints, directory)
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "CURRENT", "gen-000001"
+        ]
+        assert len(load_searcher(directory).collection) == 1
 
     def test_random_corruption_never_silent(self, legacy_index):
         """Fuzz: any single byte flip in a format-2 postings.bin either

@@ -1,6 +1,13 @@
 """Unit tests for the four similarity measures (Section II)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.errors import ConfigurationError
 from repro.core.similarity import (
@@ -86,6 +93,39 @@ class TestIdfSimilarity:
         assert idf_similarity(
             ["main", "main", "st"], ["main", "st"], stats
         ) == pytest.approx(1.0)
+
+    def test_scores_independent_of_hash_seed(self):
+        # The brute-force oracle's scores, bit for bit, must not depend on
+        # set iteration order, which PYTHONHASHSEED changes.
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(repro.__file__).parent.parent),
+        )
+        digests = set()
+        for seed in ("1", "2"):
+            env["PYTHONHASHSEED"] = seed
+            result = subprocess.run(
+                [sys.executable, "-c", _ORACLE_SCORES],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            assert result.stdout.count(":") > 100
+            digests.add(result.stdout)
+        assert len(digests) == 1
+
+
+_ORACLE_SCORES = """
+import random
+from repro import SetCollection, SetSimilaritySearcher
+rng = random.Random(5)
+vocab = [f"t{i}" for i in range(40)]
+searcher = SetSimilaritySearcher(SetCollection.from_token_sets(
+    rng.sample(vocab, rng.randint(5, 20)) for _ in range(300)
+))
+for _ in range(50):
+    query = rng.sample(vocab, rng.randint(5, 20))
+    print(*(f"{r.set_id}:{r.score.hex()}"
+            for r in searcher.brute_force(query, 0.3)))
+"""
 
 
 class TestTfIdfCosine:
