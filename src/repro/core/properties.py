@@ -152,13 +152,16 @@ def magnitude_upper_bound(
 def tf_boosted_length_bounds(
     query_length: float, tau: float, max_tf: float
 ) -> Tuple[float, float]:
-    """Looser Theorem 1 window for tf-based measures (TF/IDF, BM25).
+    """Looser Theorem 1 window for TF/IDF cosine (Section IV's boosted
+    bounds), sound when ``max_tf`` is at least the largest tf of both the
+    query and every stored set.
 
-    Section IV notes that TF/IDF and BM25 follow looser versions of the
-    semantic properties, obtained by associating every token with a maximum
-    tf component and boosting the bounds accordingly.  With tf capped at
-    ``max_tf``, every token weight grows by at most that factor, so the
-    window widens by the same factor on both sides.
+    With ``L`` the idf length and ``N`` the tf-weighted norm of a set
+    (``L <= N``) and ``M_q``, ``M_s`` the largest tfs, Cauchy–Schwarz over
+    the shared tokens gives ``Σ tf_s·idf² <= min(L_q, L_s)·N_s``, so
+    ``dot <= M_q·min(L_q, L_s)·N_s`` and ``cos <= M_q·L_s/L_q``; swapping
+    the roles, ``cos <= M_s·L_q/L_s``.  So ``cos >= tau`` forces
+    ``tau·L_q/M_q <= L_s <= M_s·L_q/tau``, and one factor covers both.
     """
     if max_tf < 1.0:
         raise ValueError(f"max_tf must be >= 1, got {max_tf}")

@@ -24,7 +24,6 @@ from .collection import SetCollection
 from .errors import EmptyQueryError
 from .properties import effective_threshold
 from .query import PreparedQuery
-from .similarity import idf_similarity
 from .tokenize import QGramTokenizer, Tokenizer
 
 DEFAULT_ALGORITHM = "sf"
@@ -142,10 +141,11 @@ class SetSimilaritySearcher:
         self, tokens: Sequence[str], threshold: float
     ) -> List[SearchResult]:
         """Reference answer by scoring every set — used by tests and for
-        small collections where index overhead is not worth it."""
+        small collections where index overhead is not worth it.  A score
+        adds ``idf² / (len(s)·len(q))`` per matched token in the query's
+        token order, as SF does, so SF's scores match it bit for bit."""
         from ..algorithms.base import SearchResult
 
-        stats = self.collection.stats
         try:
             query = self.prepare(tokens)
         except EmptyQueryError:
@@ -153,14 +153,16 @@ class SetSimilaritySearcher:
         cutoff = effective_threshold(threshold)
         out: List[SearchResult] = []
         lengths = self.collection.lengths()
+        weighted = tuple(zip(query.tokens, query.idf_squared))
         for rec in self.collection:
-            score = idf_similarity(
-                query.tokens,
-                rec.tokens,
-                stats,
-                q_length=query.length,
-                s_length=lengths[rec.set_id],
-            )
+            denom = lengths[rec.set_id] * query.length
+            if denom <= 0.0:
+                continue
+            counts = rec.counts
+            score = 0.0
+            for token, idf_squared in weighted:
+                if token in counts:
+                    score += idf_squared / denom
             if score >= cutoff:
                 out.append(SearchResult(rec.set_id, score))
         out.sort(key=lambda r: (-r.score, r.set_id))

@@ -8,38 +8,37 @@ filter-and-verify on top of the IDF inverted index:
 
 1. **Filter** — gather candidate ids from the query tokens' inverted lists.
    For TF/IDF cosine the Theorem 1 window can be kept, boosted by the
-   corpus's maximum term frequency: with every tf capped at ``max_tf``,
+   largest term frequencies ``M_q`` of the query and ``M_s`` of the set
+   (:func:`~repro.core.properties.tf_boosted_length_bounds`, with the
+   larger of ``M_q`` and the corpus's ``max_tf`` on both sides):
 
-       I_tf(q, s) >= tau  =>  tau·len(q)/max_tf² <= len(s) <= max_tf²·len(q)/tau
+       I_tf(q, s) >= tau  =>  tau·len(q)/M_q <= len(s) <= M_s·len(q)/tau
 
-   (both derivations follow Theorem 1's proof with each matched token's
-   weight inflated by at most ``max_tf`` on each side).  For BM25/BM25' the
-   normalization does not factor through the set-level lengths, so the
-   filter keeps every overlapping set — still complete, merely less pruned.
+   For BM25/BM25' the normalization does not factor through the set-level
+   lengths, so the filter keeps every overlapping set — still complete,
+   merely less pruned.
 
 2. **Verify** — score each candidate exactly with the requested measure and
    keep those at or above ``tau``.
 
 In the common relational case the paper motivates (tf = 1 almost
-everywhere), ``max_tf`` is 1 or 2 and the boosted window stays tight.
+everywhere), both factors are 1 or 2 and the boosted window stays tight.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..algorithms.base import AlgorithmResult, SearchResult
 from ..storage.invlist import InvertedIndex
 from ..storage.pages import IOStats
 from .collection import SetCollection
 from .errors import EmptyQueryError
-from .properties import effective_threshold, length_bounds
+from .properties import effective_threshold, length_bounds, tf_boosted_length_bounds
 from .query import PreparedQuery
 from .similarity import SimilarityMeasure, measure_from_name
 from .weights import tf_counts
-
-_WINDOWED_MEASURES = {"tfidf", "idf"}
 
 
 class WeightedSelector:
@@ -96,7 +95,8 @@ class WeightedSelector:
             raise EmptyQueryError("query produced no tokens")
         query = PreparedQuery(list(q_counts), stats)
 
-        candidates, elements_total = self._gather(query, tau, measure, io)
+        lo, hi = self._window(query, max(q_counts.values()), cutoff, measure)
+        candidates, elements_total = self._gather(query, lo, hi, io)
         results = self._verify(q_counts, candidates, scorer, cutoff)
         elapsed = time.perf_counter() - started
         return AlgorithmResult(
@@ -108,22 +108,27 @@ class WeightedSelector:
         )
 
     # ------------------------------------------------------------------
-    def _window(self, query: PreparedQuery, tau: float, measure: str):
-        if measure in _WINDOWED_MEASURES:
-            lo, hi = length_bounds(query.length, tau)
-            boost = float(self.max_tf) ** 2
-            return lo / boost, hi * boost
+    def _window(
+        self, query: PreparedQuery, query_tf: int, cutoff: float, measure: str
+    ) -> Tuple[float, float]:
+        """The normalized-length window of an answer's ``len(s)`` at the
+        ``cutoff`` the verify step keeps; ``query_tf`` is the query's
+        largest term frequency."""
+        if measure == "tfidf":
+            max_tf = max(self.max_tf, query_tf)
+            return tf_boosted_length_bounds(query.length, cutoff, max_tf)
+        if measure == "idf":  # ignores tf: Theorem 1 as it is
+            return length_bounds(query.length, cutoff)
         return 0.0, float("inf")
 
     def _gather(
         self,
         query: PreparedQuery,
-        tau: float,
-        measure: str,
+        lo: float,
+        hi: float,
         io: IOStats,
     ):
         """Candidate ids from the inverted lists, window-restricted."""
-        lo, hi = self._window(query, tau, measure)
         candidates: Set[int] = set()
         elements_total = 0
         for token in query.tokens:

@@ -3,7 +3,6 @@
 from .btree import BPlusTree
 from .exthash import ExtendibleHash
 from .invlist import (
-    IdOrderCursor,
     InvertedIndex,
     TokenPostings,
     WeightOrderCursor,
@@ -14,7 +13,6 @@ from .skiplist import SkipList
 __all__ = [
     "BPlusTree",
     "ExtendibleHash",
-    "IdOrderCursor",
     "InvertedIndex",
     "TokenPostings",
     "WeightOrderCursor",

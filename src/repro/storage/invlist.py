@@ -211,8 +211,8 @@ class CheckedWeightOrderCursor(WeightOrderCursor):
     increase along a sorted list, verifying each consumed posting
     against the previous one also certifies Magnitude Boundedness: the
     per-token contribution ``idf² / (len·len(q))`` cannot increase while
-    lengths do not decrease.  ``next`` checks one posting; ``advance``
-    checks the consumed slice in one pass, before consuming it.
+    lengths do not decrease.  ``advance``, which ``next`` consumes
+    through, checks the consumed slice in one pass, before consuming it.
     """
 
     __slots__ = ("_last_key",)
@@ -234,14 +234,6 @@ class CheckedWeightOrderCursor(WeightOrderCursor):
             f"list {self.token!r} yielded {key!r} after {last!r}; "
             "weight-ordered lists must strictly increase by (len, id)",
         )
-
-    def next(self) -> Tuple[float, int]:
-        length, set_id = super().next()
-        key = (length, set_id)
-        if self._last_key is not None and key <= self._last_key:
-            raise self._out_of_order(key, self._last_key)
-        self._last_key = key
-        return length, set_id
 
     def advance(self, count: int) -> None:
         """Consume ``count`` postings after checking, in one pass, that
@@ -267,18 +259,6 @@ class CheckedWeightOrderCursor(WeightOrderCursor):
                 f"seek_length_ge({lo!r}) on list {self.token!r} landed on "
                 f"{self.peek()!r}; the skip structure under-seeked",
             )
-
-
-class IdOrderCursor(SequentialCursor):
-    """Forward cursor over one id-ordered list (entries ``(set_id, length)``)."""
-
-    __slots__ = ("token",)
-
-    def __init__(
-        self, token: str, id_file: PagedFile, stats: Optional[IOStats]
-    ) -> None:
-        super().__init__(id_file, stats)
-        self.token = token
 
 
 def _publish(
@@ -458,14 +438,16 @@ class InvertedIndex:
 
     def id_cursor(
         self, token: str, stats: Optional[IOStats] = None
-    ) -> Optional[IdOrderCursor]:
+    ) -> Optional[SequentialCursor]:
+        """Cursor over the token's id-ordered list (entries
+        ``(set_id, length)``), or None for unseen tokens."""
         postings = self._postings.get(token)
         if postings is None:
             return None
         id_file = postings.id_file
         if id_file is None:
             id_file = _publish(postings, "id_file", self._build_id_file)
-        return IdOrderCursor(token, id_file, stats)
+        return id_file.cursor(stats)
 
     def probe(
         self, token: str, set_id: int, stats: Optional[IOStats] = None

@@ -9,14 +9,15 @@ dominated by interpreter overhead), so every storage component in this
 package charges its accesses to an :class:`IOStats` ledger, and the benchmark
 harness reports those counters alongside wall-clock time.
 
-A :class:`PagedFile` stores fixed-size records in fixed-capacity pages.  A
-sequential cursor charges one *sequential page read* each time it crosses a
-page boundary; :meth:`PagedFile.fetch` charges one *random page read* per
-call (modelling a seek).  Hot loops read a whole buffered page at once
-(:meth:`SequentialCursor.page` / :meth:`SequentialCursor.advance`) and
-charge the postings they consume in bulk, so the ledger is the same as
-one ``next()`` per posting.  Sizes in bytes are tracked so Figure 5 (index
-sizes) can be regenerated from the structures themselves.
+A :class:`PagedFile` stores fixed-size records in fixed-capacity pages and
+is read through a :class:`SequentialCursor`, which charges one *sequential
+page read* each time it crosses a page boundary and one *random page read*
+when ``jump`` lands it on a new page (modelling a seek).  Hot loops read a
+whole buffered page at once (:meth:`SequentialCursor.page` /
+:meth:`SequentialCursor.advance`) and charge the postings they consume in
+bulk, so the ledger is the same as one ``next()`` per posting.  Sizes in
+bytes are tracked so Figure 5 (index sizes) can be regenerated from the
+structures themselves.
 """
 
 from __future__ import annotations
@@ -192,23 +193,7 @@ class PagedFile:
         """Page-rounded on-disk allocation (includes page slack)."""
         return self.num_pages * self.page_capacity * self.record_bytes
 
-    def page_of(self, position: int) -> int:
-        return position // self.page_capacity
-
     # ------------------------------------------------------------------
-    def fetch(self, position: int, stats: Optional[IOStats] = None) -> Any:
-        """Random access to one record: charges one random page read."""
-        if not (0 <= position < len(self._records)):
-            raise StorageError(
-                f"record {position} out of range [0, {len(self._records)})"
-            )
-        faults_runtime.maybe_fire("storage.read_page")
-        if stats is not None:
-            if stats.deadline is not None:
-                stats.check_deadline()
-            stats.charge_random_page(key=(id(self), self.page_of(position)))
-        return self._records[position]
-
     def cursor(
         self, stats: Optional[IOStats] = None, start: int = 0
     ) -> "SequentialCursor":
@@ -227,17 +212,17 @@ class SequentialCursor:
     fires the ``storage.read_page`` fault point, checks the ledger's
     deadline and charges the page, keyed ``(id(file), page)``:
     sequentially on a read, randomly on ``jump(pos)`` (the seek that a
-    skip-list jump or an index-guided skip would cost on disk).  The
-    cursor sees the records the file held when it was opened.  The
-    weight- and id-order list cursors of :mod:`repro.storage.invlist`
-    are subclasses.
+    skip-list jump would cost on disk).  The cursor sees the records the
+    file held when it was opened.  Id-ordered lists use it as it is; the
+    weight-order cursors of :mod:`repro.storage.invlist` subclass it.
 
-    Two ways to read: ``peek``/``next``, one posting per call, and
-    ``page``/``advance``, which hand a loop the unread rest of the
-    buffered page and charge what it consumed with one call.  The
-    per-posting loops of SF, :class:`~repro.algorithms.kernel.RoundRobin`
-    and the length seek use the second; both enter pages in the same
-    order through :meth:`_enter_page` and charge the same ledger.
+    One read path: :meth:`_enter_page` is the only place a page is
+    entered and :meth:`advance` the only place a consumed posting is
+    charged.  ``peek``/``next`` read one posting per call (``next``
+    consumes it through ``advance(1)``); ``page``/``advance`` hand a loop
+    the unread rest of the buffered page and charge what it consumed
+    with one call, as the per-posting loops of SF,
+    :class:`~repro.algorithms.kernel.RoundRobin` and the length seek do.
     """
 
     __slots__ = ("_file", "_records", "_len", "_cap", "_stats", "_pos",
@@ -271,7 +256,7 @@ class SequentialCursor:
     def _enter_page(self, random: bool) -> None:
         """Read the page under the cursor into the buffer."""
         page = self._pos // self._cap
-        # The one place a cursor touches disk, and so where it can fail.
+        # The one place storage enters a page, and so where it can fail.
         faults_runtime.maybe_fire("storage.read_page")
         stats = self._stats
         if stats is not None:
@@ -300,9 +285,7 @@ class SequentialCursor:
             if pos >= self._len:
                 raise StorageError("cursor exhausted")
             self._enter_page(False)
-        if self._stats is not None:
-            self._stats.charge_element()
-        self._pos = pos + 1
+        self.advance(1)
         return self._records[pos]
 
     def page(self) -> Optional[Tuple[List[Any], int, int]]:
@@ -327,11 +310,6 @@ class SequentialCursor:
         them as ``count`` element reads."""
         if self._stats is not None:
             self._stats.charge_element(count)
-        self._pos += count
-
-    def skip(self, count: int = 1) -> None:
-        """Advance without reading (no element charge; pages skipped are not
-        fetched — this models an index-guided skip, see ``jump``)."""
         self._pos += count
 
     def jump(self, position: int) -> None:

@@ -27,6 +27,34 @@ def reference(searcher, q, tau):
     return {(r.set_id, round(r.score, 9)) for r in searcher.brute_force(q, tau)}
 
 
+def _bits(results):
+    return [(r.set_id, float.hex(r.score)) for r in results]
+
+
+class TestBitExactOracle:
+    """The oracle sums scores as SF does (one ``idf²/(len(s)·len(q))``
+    per matched token, in processing order), so SF and sort-by-id, which
+    sum the same terms in the same order, agree with it to the last bit
+    and in the same result order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sets=st.lists(
+            st.lists(st.sampled_from("abcdefghij"), min_size=1, max_size=6),
+            min_size=1,
+            max_size=40,
+        ),
+        query=st.lists(st.sampled_from("abcdefghijk"), min_size=1, max_size=7),
+        tau=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9, 1.0]),
+    )
+    def test_scores_match_bit_for_bit(self, sets, query, tau):
+        searcher = SetSimilaritySearcher(SetCollection.from_token_sets(sets))
+        oracle = _bits(searcher.brute_force(query, tau))
+        for algo in ("sf", "sort-by-id"):
+            got = searcher.search(query, tau, algorithm=algo)
+            assert _bits(got.results) == oracle, algo
+
+
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("algo", ALGOS)
     @pytest.mark.parametrize("tau", [0.3, 0.5, 0.7, 0.9, 1.0])

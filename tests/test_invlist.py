@@ -369,7 +369,8 @@ class TestCursorEquivalence:
 class TestSliceOrderCheck:
     """A checked cursor checks Order Preservation over each consumed
     slice, so a list with two swapped postings is rejected by
-    ``advance`` as it was by ``next``, and so is an armed SF scan."""
+    ``advance`` and by ``next``, which consumes through it, and so is
+    an armed SF scan."""
 
     N_POSTINGS = 8
 
@@ -399,15 +400,20 @@ class TestSliceOrderCheck:
         assert caught.value.contract == "order-preservation"
 
     def test_advance_checks_against_the_last_key(self):
-        searcher = self._searcher()
-        self._swap(searcher, 2, 3)
-        cursor = searcher.index.cursor("b", IOStats(), checked=True)
-        cursor.page()
-        cursor.advance(3)  # in order; position 3 now holds a smaller key
-        with pytest.raises(ContractViolation) as caught:
-            cursor.advance(1)
-        assert caught.value.contract == "order-preservation"
-        assert cursor.position == 3
+        # ``next`` consumes through ``advance(1)``, so it is checked the
+        # same way and also raises before consuming.
+        for consume in (lambda c: c.advance(1), lambda c: c.next()):
+            searcher = self._searcher()
+            self._swap(searcher, 2, 3)
+            stats = IOStats()
+            cursor = searcher.index.cursor("b", stats, checked=True)
+            cursor.page()
+            cursor.advance(3)  # in order; position 3 holds a smaller key
+            with pytest.raises(ContractViolation) as caught:
+                consume(cursor)
+            assert caught.value.contract == "order-preservation"
+            assert cursor.position == 3
+            assert stats.elements_read == 3
 
     def test_plain_cursor_does_not_check(self):
         searcher = self._searcher()

@@ -1,9 +1,14 @@
 """Unit tests for the simulated paged storage and I/O accounting."""
 
+import ast
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.core.collection import SetCollection
 from repro.core.errors import DeadlineExceeded, StorageError
 from repro.storage.invlist import InvertedIndex
@@ -82,24 +87,6 @@ class TestPagedFile:
         with pytest.raises(StorageError):
             PagedFile(record_bytes=8, page_capacity=0)
 
-    def test_fetch_charges_random(self):
-        f = PagedFile(8, 4)
-        f.extend(range(10))
-        stats = IOStats()
-        assert f.fetch(7, stats) == 7
-        assert stats.random_pages == 1
-
-    def test_fetch_out_of_range(self):
-        f = PagedFile(8, 4)
-        with pytest.raises(StorageError):
-            f.fetch(0)
-
-    def test_page_of(self):
-        f = PagedFile(8, 4)
-        assert f.page_of(0) == 0
-        assert f.page_of(3) == 0
-        assert f.page_of(4) == 1
-
 
 class TestSequentialCursor:
     def _file(self, n=10, cap=4):
@@ -176,18 +163,175 @@ class TestSequentialCursor:
         with pytest.raises(StorageError):
             SequentialCursor(f, None, start=-1)
 
-    def test_skip_without_reading(self):
-        f = self._file(10, 4)
+
+class _PageModel:
+    """Reference model of a cursor over records ``0..n-1``: the first
+    read of a page charges it (sequentially, or randomly when a jump
+    lands on it), further reads of the buffered page are free, and every
+    consumed record charges one element."""
+
+    def __init__(self, n, capacity, start):
+        self.n = n
+        self.capacity = capacity
+        self.pos = start
+        self.page = None
+        self.stats = IOStats()
+
+    def _touch(self, random):
+        page = self.pos // self.capacity
+        if page != self.page:
+            if random:
+                self.stats.charge_random_page()
+            else:
+                self.stats.charge_sequential_page()
+            self.page = page
+
+    def read(self):
+        """The record under the cursor, or None when exhausted."""
+        if self.pos >= self.n:
+            return None
+        self._touch(random=False)
+        return self.pos
+
+    def consume(self, count):
+        self.stats.charge_element(count)
+        self.pos += count
+
+    def jump(self, position):
+        self.pos = position
+        if position < self.n:
+            self._touch(random=True)
+
+
+@st.composite
+def _cursor_runs(draw):
+    n = draw(st.integers(0, 40))
+    capacity = draw(st.integers(1, 8))
+    start = draw(st.integers(0, n + 2))
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["peek", "next", "slice", "jump"]),
+                # Records a slice consumes (clipped to the page), or how
+                # far a jump moves.
+                st.integers(0, 10),
+            ),
+            max_size=60,
+        )
+    )
+    return n, capacity, start, ops
+
+
+class TestCursorModel:
+    """Every way of moving a cursor enters pages and charges postings
+    as one reference model does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_cursor_runs())
+    def test_matches_model(self, run):
+        n, capacity, start, ops = run
+        f = PagedFile(8, capacity)
+        f.extend(range(n))
         stats = IOStats()
-        c = f.cursor(stats)
-        c.skip(9)
-        assert c.next() == 9
-        assert stats.elements_read == 1
+        cursor = f.cursor(stats, start=start)
+        model = _PageModel(n, capacity, start)
+        for op, count in ops:
+            if op == "jump":
+                cursor.jump(cursor.position + count)
+                model.jump(model.pos + count)
+            elif op == "slice":
+                page = cursor.page()
+                record = model.read()
+                if record is None:
+                    assert page is None
+                else:
+                    records, pos, end = page
+                    assert records[pos] == record == pos
+                    page_end = (pos // capacity + 1) * capacity
+                    assert end == min(page_end, n)
+                    k = min(count, end - pos)
+                    cursor.advance(k)
+                    model.consume(k)
+            else:
+                record = model.read()
+                if record is None:
+                    with pytest.raises(StorageError):
+                        getattr(cursor, op)()
+                else:
+                    assert getattr(cursor, op)() == record
+                    if op == "next":
+                        model.consume(1)
+            assert cursor.position == model.pos
+            assert cursor.exhausted() == (model.pos >= n)
+            assert (
+                stats.sequential_pages,
+                stats.random_pages,
+                stats.elements_read,
+            ) == (
+                model.stats.sequential_pages,
+                model.stats.random_pages,
+                model.stats.elements_read,
+            )
+
+
+def _calls_by_function(predicate):
+    """``module:Class.function`` of every call under ``src/repro`` that
+    satisfies ``predicate(call)``, one entry per call."""
+    root = Path(repro.__file__).parent
+    found = []
+
+    def visit(node, scope, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                visit(child, scope + [child.name], module)
+                continue
+            if isinstance(child, ast.Call) and predicate(child):
+                found.append(f"{module}:{'.'.join(scope)}")
+            visit(child, scope, module)
+
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).as_posix()
+        visit(ast.parse(path.read_text()), [], module)
+    return found
+
+
+class TestOneReadPath:
+    """Pages are entered in one function and postings charged in one."""
+
+    def test_read_page_fires_in_one_place(self):
+        def fires_read_page(call):
+            return any(
+                isinstance(arg, ast.Constant)
+                and arg.value == "storage.read_page"
+                for arg in call.args
+            )
+
+        assert _calls_by_function(fires_read_page) == [
+            "storage/pages.py:SequentialCursor._enter_page"
+        ]
+
+    def test_list_postings_are_charged_in_advance(self):
+        def charges_element(call):
+            func = call.func
+            return (
+                isinstance(func, ast.Attribute)
+                and func.attr == "charge_element"
+            )
+
+        in_lists = [
+            site
+            for site in _calls_by_function(charges_element)
+            if site.startswith(("storage/pages.py", "storage/invlist.py"))
+        ]
+        assert in_lists == ["storage/pages.py:SequentialCursor.advance"]
 
 
 class TestDeadline:
     """A ledger's deadline stops a query where it touches disk: a page
-    entry, a random fetch or a hash probe; it is not a counter."""
+    entry (sequential or by a jump) or a hash probe; it is not a
+    counter."""
 
     @staticmethod
     def _expired():
@@ -211,7 +355,7 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded):
             f.cursor(stats).next()
         with pytest.raises(DeadlineExceeded):
-            f.fetch(5, stats)
+            f.cursor(stats).jump(5)
         assert stats.snapshot() == IOStats().snapshot()
 
     def test_reads_inside_a_buffered_page_finish(self):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SetCollection, WeightedSelector
 from repro.core.errors import EmptyQueryError
@@ -109,3 +111,46 @@ class TestFiltering:
         result = selector.search([vocab[0]], 0.5, measure="idf")
         ref = answers(selector.brute_force([vocab[0]], 0.5, measure="idf"))
         assert answers(result.results) == ref
+
+
+_TF_ONE_VOCAB = [f"t{i}" for i in range(8)]
+
+
+class TestQueryTermFrequencies:
+    """The TF/IDF window widens by the query's own term frequencies too:
+    a query repeating a token more often than any stored set does can
+    match sets shorter than a corpus-only boost admits."""
+
+    def test_repeated_query_token_keeps_short_answer(self):
+        sets = (
+            [["a"]]
+            + [["a", f"c{i}"] for i in range(20)]
+            + [["b", "a"]]
+        )
+        selector = WeightedSelector(SetCollection.from_token_sets(sets))
+        assert selector.max_tf == 1
+        query = ["a"] * 10 + ["b"]
+        ref = selector.brute_force(query, 0.8, measure="tfidf")
+        assert [r.set_id for r in ref] == [0]
+        got = selector.search(query, 0.8, measure="tfidf")
+        assert answers(got.results) == answers(ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sets=st.lists(
+            st.sets(st.sampled_from(_TF_ONE_VOCAB), min_size=1),
+            min_size=1,
+            max_size=30,
+        ),
+        query=st.dictionaries(
+            st.sampled_from(_TF_ONE_VOCAB), st.integers(1, 9), min_size=1
+        ),
+        tau=st.sampled_from([0.3, 0.6, 0.8, 0.95]),
+    )
+    def test_tf_one_corpus_matches_brute_force(self, sets, query, tau):
+        coll = SetCollection.from_token_sets([sorted(s) for s in sets])
+        selector = WeightedSelector(coll)
+        tokens = [t for t, tf in sorted(query.items()) for _ in range(tf)]
+        got = selector.search(tokens, tau, measure="tfidf")
+        ref = selector.brute_force(tokens, tau, measure="tfidf")
+        assert answers(got.results) == answers(ref)
