@@ -137,6 +137,11 @@ class QueryLists:
     token with squared idf ``idf_squared[i]``; tokens whose lists are empty
     are dropped (they contribute nothing to any score).  Order follows the
     prepared query: decreasing idf.
+
+    ``length_floor`` is the query's caller-imposed lower bound on answer
+    lengths (see :meth:`SelectionAlgorithm.search`).  It lives here, with
+    the rest of the per-query state, so one algorithm instance can serve
+    concurrent queries with different floors.
     """
 
     __slots__ = (
@@ -146,6 +151,7 @@ class QueryLists:
         "tokens",
         "elements_total",
         "stats",
+        "length_floor",
     )
 
     def __init__(
@@ -155,9 +161,11 @@ class QueryLists:
         stats: IOStats,
         use_skip_lists: bool = True,
         order: str = "weight",
+        length_floor: float = 0.0,
     ) -> None:
         self.query = query
         self.stats = stats
+        self.length_floor = max(0.0, length_floor)
         self.cursors: List[WeightOrderCursor] = []
         self.idf_squared: List[float] = []
         self.tokens: List[str] = []
@@ -216,7 +224,6 @@ class SelectionAlgorithm:
         self.use_length_bounds = use_length_bounds
         self.use_skip_lists = use_skip_lists
         self.buffer_pool_pages = buffer_pool_pages
-        self._length_floor = 0.0
 
     # ------------------------------------------------------------------
     def search(
@@ -243,7 +250,6 @@ class SelectionAlgorithm:
         :class:`~repro.core.errors.DeadlineExceeded`.
         """
         tau = effective_threshold(tau)
-        self._length_floor = max(0.0, length_floor)
         if self.buffer_pool_pages:
             from ..storage.buffer import BufferedIOStats
 
@@ -259,20 +265,21 @@ class SelectionAlgorithm:
                 stats,
                 use_skip_lists=self.use_skip_lists,
                 order=self.list_order,
+                length_floor=length_floor,
             )
             results, peak = self._run(lists, tau)
             query_span.note(answers=len(results), lists=len(lists))
-        if self._length_floor > 0.0 and results:
+        floor = lists.length_floor
+        if floor > 0.0 and results:
             # Algorithms without a window (classic NRA/TA, sort-by-id) do
             # not enforce the floor while scanning; filter uniformly here
             # so the contract holds for every algorithm.
             lengths = self.index.collection.lengths()
-            floor = self._length_floor
             results = [
                 r for r in results if lengths[r.set_id] >= floor
             ]
         if invariants_enabled():
-            self._check_result_contracts(query, tau, results)
+            self._check_result_contracts(query, tau, results, floor)
         elapsed = time.perf_counter() - started
         result = AlgorithmResult(
             algorithm=self.name,
@@ -290,11 +297,13 @@ class SelectionAlgorithm:
         query: PreparedQuery,
         tau: float,
         results: List[SearchResult],
+        floor: float,
     ) -> None:
         """Invariants every exact answer set satisfies, whatever the
         algorithm or ablation flags: Theorem 1's length window (answers
-        obey it even when pruning never used it), scores at or above the
-        effective threshold, and no duplicate ids.
+        obey it even when pruning never used it) cut at the query's
+        length ``floor``, scores at or above the effective threshold,
+        and no duplicate ids.
 
         Indexes without a backing collection (test doubles with
         deliberately decoupled statistics) skip the length-window check —
@@ -307,7 +316,7 @@ class SelectionAlgorithm:
                 ((r.set_id, lengths[r.set_id]) for r in results),
                 query.length,
                 tau,
-                floor=self._length_floor,
+                floor=floor,
                 source=f"{self.name} result set",
             )
         seen = set()
@@ -399,7 +408,7 @@ class SelectionAlgorithm:
             lo, hi = lists.query.bounds(tau)
         else:
             lo, hi = 0.0, float("inf")
-        return max(lo, self._length_floor), hi
+        return max(lo, lists.length_floor), hi
 
     def __repr__(self) -> str:
         flags = []

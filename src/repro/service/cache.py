@@ -36,17 +36,15 @@ class GenerationLRUCache:
     ``version`` can be any hashable token; entries stored under one
     version are invisible (and lazily evicted) under any other.
 
-    A cache built with a ``name`` additionally publishes every hit and
-    miss to the global metrics registry as ``cache_hits_total`` /
-    ``cache_misses_total`` labeled ``{cache=name}``; anonymous caches
-    keep only their local counters.
+    Every hit and miss is also published to the global metrics registry
+    as ``cache_hits_total`` / ``cache_misses_total`` labeled
+    ``{cache="result"}``: the service's result cache is the only one.
     """
 
-    def __init__(self, capacity: int, name: str = "") -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ConfigurationError("cache capacity must be >= 1")
         self.capacity = capacity
-        self.name = name
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Tuple[Hashable, Any]]" = (
             OrderedDict()
@@ -58,9 +56,8 @@ class GenerationLRUCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _publish(self, hit: bool) -> None:
-        if not self.name:
-            return
+    @staticmethod
+    def _publish(hit: bool) -> None:
         registry = obs_metrics.get_registry()
         if not registry.enabled:
             return
@@ -71,7 +68,7 @@ class GenerationLRUCache:
             else "Cache lookups that fell through (including stale entries)."
         )
         registry.counter(family, help_text, ("cache",)).labels(
-            cache=self.name
+            cache="result"
         ).inc()
 
     def get(self, key: Hashable, version: Hashable) -> Any:

@@ -8,9 +8,11 @@ wraps a :class:`~repro.core.search.SetSimilaritySearcher` (or an
 * caches **results** in a generation-checked LRU cache
   (:mod:`repro.service.cache`) — any index mutation changes the
   searcher's version token and lazily invalidates it;
-* executes **batches** in the calling thread: cache hits are replayed,
-  identical in-batch misses are coalesced so a burst of duplicates costs
-  one execution, and only the distinct misses are prepared and run;
+* answers every query through one step, alone or in a **batch**: a
+  result-cache replay, or a prepare and an execution.  A batch walks its
+  slots in order in the calling thread, and a slot that repeats one the
+  batch already executed is coalesced from that answer, so a burst of
+  duplicates costs one execution;
 * enforces per-query **deadlines** with graceful degradation: the
   deadline rides on the query's ``IOStats`` ledger and stops the query
   at its next page entry (:class:`~repro.core.errors.DeadlineExceeded`);
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import AlgorithmResult, algorithm_names
 from ..core.errors import (
@@ -92,7 +94,8 @@ class ServiceConfig:
         long it fails fast before admitting a half-open probe.
     max_inflight:
         Admission-control bound on concurrently admitted queries
-        (batch weight = batch size); ``None`` disables shedding.
+        (batch weight = batch size, so a larger batch is rejected);
+        ``None`` disables shedding.
     """
 
     __slots__ = (
@@ -278,7 +281,7 @@ class SimilarityService:
         self.config = config or ServiceConfig()
         self.tokenizer = tokenizer
         self._results = (
-            GenerationLRUCache(self.config.result_cache_size, name="result")
+            GenerationLRUCache(self.config.result_cache_size)
             if self.config.result_cache_size
             else None
         )
@@ -343,7 +346,7 @@ class SimilarityService:
             "draining": self._admission.draining,
             "breaker_state": self._breaker.state_name,
             "result_cache": (
-                self._results.stats() if self._results else None
+                None if self._results is None else self._results.stats()
             ),
             "prepared_cache": None,
         }
@@ -400,7 +403,7 @@ class SimilarityService:
         self._breaker.record_success()
         return result
 
-    # -- single-query path ---------------------------------------------
+    # -- the per-query step -------------------------------------------
     def search(
         self,
         tokens: Sequence[str],
@@ -419,9 +422,13 @@ class SimilarityService:
         algorithm, deadline = self._resolve(algorithm, deadline)
         self._admission.acquire(1)
         try:
-            return self._search_admitted(tokens, tau, algorithm, deadline)
+            out = self._answer(
+                tokens, tau, algorithm, deadline, self._searcher.version
+            )
         finally:
             self._admission.release(1)
+        self._count(queries=1)
+        return out
 
     def _resolve(
         self, algorithm: Optional[str], deadline: Optional[float]
@@ -445,30 +452,32 @@ class SimilarityService:
             )
         return algorithm, deadline
 
-    def _search_admitted(
+    def _answer(
         self,
         tokens: Sequence[str],
         tau: float,
         algorithm: str,
         deadline: Optional[float],
+        version,
     ) -> ServiceResult:
+        """Answer one admitted query: replay it from the result cache,
+        or prepare and settle it.
+
+        Every query the service answers, alone or in a batch, goes
+        through here once; its wall clock is the slot's
+        ``wall_seconds`` and one latency observation.  Raises
+        :class:`EmptyQueryError` for a query with no tokens.
+        """
         started = time.perf_counter()
-        version = self._searcher.version
         key = result_cache_key(tuple(tokens), tau, algorithm)
-        if self._results is not None:
-            hit = self._results.get(key, version)
-            if hit is not None:
-                self._count(queries=1)
-                wall = time.perf_counter() - started
-                self._observe_latency(wall)
-                return ServiceResult(
-                    hit, tau, algorithm, cached=True, wall_seconds=wall,
-                )
-        prepared = self._searcher.prepare(tokens)
-        out = self._settle(prepared, tau, algorithm, deadline, key, version)
+        hit = None if self._results is None else self._results.get(key, version)
+        if hit is not None:
+            out = ServiceResult(hit, tau, algorithm, cached=True)
+        else:
+            prepared = self._searcher.prepare(tokens)
+            out = self._settle(prepared, tau, algorithm, deadline, key, version)
         out.wall_seconds = time.perf_counter() - started
         self._observe_latency(out.wall_seconds)
-        self._count(queries=1)
         return out
 
     def search_text(
@@ -530,8 +539,8 @@ class SimilarityService:
         if registry.enabled:
             registry.histogram(
                 "service_request_latency_seconds",
-                "Wall-clock latency of SimilarityService.search calls "
-                "(cache hits included).",
+                "Wall-clock latency of every query the service answers "
+                "(cache hits and batch slots included).",
             ).observe(wall_seconds)
 
     def _settle(
@@ -542,14 +551,12 @@ class SimilarityService:
         deadline: Optional[float],
         key: Tuple,
         version,
-        copies: int = 1,
     ) -> ServiceResult:
         """Run one execution in the calling thread and cache its answer.
 
         The deadline clock starts here, when the query starts executing.
         On a miss the query re-runs as SF at the tightened cutoff with
-        no deadline; that answer is flagged, never cached, and counted
-        once per query it serves (``copies``).
+        no deadline; that answer is flagged, counted, and never cached.
         """
         expires = None if deadline is None else time.perf_counter() + deadline
         try:
@@ -564,7 +571,7 @@ class SimilarityService:
         fallback = self._execute_resilient(
             prepared, fallback_tau, DEGRADED_ALGORITHM
         )
-        self._count(degraded=copies)
+        self._count(degraded=1)
         return ServiceResult(
             fallback,
             tau,
@@ -588,88 +595,72 @@ class SimilarityService:
         raising.  Every other query runs ``algorithm`` exactly as
         :meth:`search` would, with bit-identical answers.
 
+        The slots are answered in order, in this thread, against the
+        version read once for the batch.  A slot whose key an earlier
+        slot of this batch executed is coalesced from that answer
+        (flags, degradation and wall clock included); every other slot
+        is answered by the same step as :meth:`search`, so a repeat of
+        a cache replay is replayed again.
+
         Admission control weighs the whole batch: when admitting
         ``len(queries)`` more queries would exceed ``max_inflight``,
         the batch is shed with
-        :class:`~repro.core.errors.ServiceOverloadError`.
+        :class:`~repro.core.errors.ServiceOverloadError`.  A batch
+        larger than ``max_inflight`` could never be admitted and is
+        rejected with :class:`ConfigurationError` instead.
         """
         algorithm, deadline = self._resolve(algorithm, deadline)
         weight = max(len(queries), 1)
+        limit = self.config.max_inflight
+        if limit is not None and weight > limit:
+            raise ConfigurationError(
+                f"a batch of {weight} queries exceeds max_inflight "
+                f"({limit}); split it into batches of at most {limit}"
+            )
         self._admission.acquire(weight)
         try:
-            return self._search_batch_admitted(
-                queries, tau, algorithm, deadline
-            )
+            version = self._searcher.version
+            out: List[ServiceResult] = []
+            # One tau and algorithm per batch: the distinct tokens alone
+            # tell two slots' result keys apart.
+            executed: Dict[FrozenSet[str], ServiceResult] = {}
+            errors = coalesced = degraded = 0
+            for tokens in queries:
+                key = frozenset(tokens)
+                primary = executed.get(key)
+                if primary is not None:
+                    slot = ServiceResult(
+                        primary.result,
+                        tau,
+                        algorithm,
+                        coalesced=True,
+                        degraded=primary.degraded,
+                        degraded_tau=primary.degraded_tau,
+                        wall_seconds=primary.wall_seconds,
+                    )
+                    self._observe_latency(slot.wall_seconds)
+                    coalesced += 1
+                    degraded += slot.degraded
+                else:
+                    try:
+                        slot = self._answer(
+                            tokens, tau, algorithm, deadline, version
+                        )
+                    except EmptyQueryError as exc:
+                        slot = ServiceResult(
+                            None, tau, algorithm, error=str(exc)
+                        )
+                        errors += 1
+                    else:
+                        if not slot.cached:
+                            executed[key] = slot
+                out.append(slot)
         finally:
             self._admission.release(weight)
-
-    def _search_batch_admitted(
-        self,
-        queries: Sequence[Sequence[str]],
-        tau: float,
-        algorithm: str,
-        deadline: Optional[float],
-    ) -> List[ServiceResult]:
-        """Cache replay, coalescing, then one execution per distinct miss."""
-        version = self._searcher.version
-        out: List[Optional[ServiceResult]] = [None] * len(queries)
-
-        # 1. Replay cache hits; group the misses by result key so
-        #    identical in-batch queries execute once (coalescing).
-        pending: Dict[Tuple, List[int]] = {}
-        for i, tokens in enumerate(queries):
-            looked = time.perf_counter()
-            key = result_cache_key(tuple(tokens), tau, algorithm)
-            if self._results is not None:
-                hit = self._results.get(key, version)
-                if hit is not None:
-                    out[i] = ServiceResult(
-                        hit, tau, algorithm, cached=True,
-                        wall_seconds=time.perf_counter() - looked,
-                    )
-                    continue
-            pending.setdefault(key, []).append(i)
-
-        # 2. Prepare and run each distinct miss once, in first-slot order,
-        #    in this thread.  Each deadline clock starts when its query
-        #    starts, so no query is charged for time it spent queued; so
-        #    does its wall clock, which its coalesced duplicates report
-        #    too.  A query that prepares to nothing fills its slots with
-        #    ``error``.
-        for key, indices in pending.items():
-            started = time.perf_counter()
-            try:
-                prepared = self._searcher.prepare(queries[indices[0]])
-            except EmptyQueryError as exc:
-                for i in indices:
-                    out[i] = ServiceResult(None, tau, algorithm, error=str(exc))
-                continue
-            primary = self._settle(
-                prepared,
-                tau,
-                algorithm,
-                deadline,
-                key,
-                version,
-                copies=len(indices),
-            )
-            primary.wall_seconds = time.perf_counter() - started
-            out[indices[0]] = primary
-            for duplicate in indices[1:]:
-                out[duplicate] = ServiceResult(
-                    primary.result,
-                    tau,
-                    algorithm,
-                    coalesced=True,
-                    degraded=primary.degraded,
-                    degraded_tau=primary.degraded_tau,
-                    wall_seconds=primary.wall_seconds,
-                )
-                self._count(coalesced=1)
         self._count(
-            queries=sum(1 for r in out if r is not None and r.ok)
+            queries=len(out) - errors, degraded=degraded, coalesced=coalesced
         )
-        return out  # type: ignore[return-value]  # every slot is filled
+        return out
 
     def __repr__(self) -> str:
         return (

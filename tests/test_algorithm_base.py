@@ -1,5 +1,7 @@
 """Unit tests for the shared algorithm infrastructure (base module)."""
 
+import threading
+
 import pytest
 
 from repro import SetCollection, SetSimilaritySearcher
@@ -12,6 +14,7 @@ from repro.algorithms.base import (
     register_algorithm,
 )
 from repro.core.errors import UnknownAlgorithmError
+from repro.faults import use_fault_plan
 from repro.storage.pages import IOStats
 
 
@@ -160,3 +163,54 @@ class TestHarnessSqliteSpec:
         via_sqlite = context.run_query("sqlite", word, 0.8)
         via_sf = context.run_query("sf", word, 0.8)
         assert set(via_sqlite.ids()) == set(via_sf.ids())
+
+
+class TestSharedInstance:
+    """Per-query state lives on the query, not on the algorithm, so one
+    instance serves concurrent queries."""
+
+    def test_concurrent_queries_keep_their_own_length_floor(self):
+        sets = [["a", "b"], ["a", "b", "c"], ["a", "b", "c", "d"],
+                ["a", "b", "c", "d", "e"]]
+        sets += [[f"s{i}"] for i in range(20)]
+        searcher = SetSimilaritySearcher(
+            SetCollection.from_token_sets(sets), page_capacity=1
+        )
+        nra = make_algorithm("nra", searcher.index)
+        query = searcher.prepare(["a", "b", "c"])
+        floor = searcher.collection.length(2)
+        alone = nra.search(query, 0.3, length_floor=floor).ids()
+        assert alone == [2, 3]
+
+        # The floored query parks at its first page read while an
+        # unfloored one runs to completion on the same instance.
+        stalled, resume = threading.Event(), threading.Event()
+
+        def park(_seconds):
+            stalled.set()
+            resume.wait(10.0)
+
+        floored = []
+        with use_fault_plan(
+            "storage.read_page:latency:ms=300:count=1", sleeper=park
+        ):
+            worker = threading.Thread(target=lambda: floored.append(
+                nra.search(query, 0.3, length_floor=floor).ids()
+            ))
+            worker.start()
+            assert stalled.wait(10.0)
+            unfloored = nra.search(query, 0.3).ids()
+            resume.set()
+            worker.join(10.0)
+        assert floored == [alone]
+        assert set(unfloored) > set(alone)
+
+    def test_stream_keeps_no_floor_from_an_earlier_search(self, tiny):
+        ita = make_algorithm("ita", tiny.index)
+        query = tiny.prepare(["a", "b"])
+        everything = ita.search(query, 0.3).ids()
+        floor = max(tiny.collection.lengths())
+        assert len(ita.search(query, 0.3, length_floor=floor).ids()) < \
+            len(everything)
+        streamed = sorted(r.set_id for r in ita.stream(query, 0.3))
+        assert streamed == sorted(everything)
