@@ -32,7 +32,10 @@ a subset of the same squared idfs, so no admitted candidate can fail it
 later.
 
 Hybrid is :class:`~repro.algorithms.inra.INRA` with full candidate scans
-and two hooks overridden: the candidate set and the depth cutoff.
+and two hooks overridden: the candidate set and the depth limit
+``max(Λ, max_len(C))``.  The limit is written once: ``RoundRobin.round``
+asks it at each head, and ``RoundRobin.skip_idle`` stops the idle rounds
+it pops in one step before the first head past it.
 """
 
 from __future__ import annotations
@@ -61,22 +64,20 @@ class Hybrid(INRA):
     def _candidate_set(self, num_lists: int) -> PartitionedCandidateSet:
         return PartitionedCandidateSet(num_lists)
 
-    def _depth_cutoff(
+    def _depth_limit(
         self, rr: RoundRobin, candidates: PartitionedCandidateSet, tau: float
-    ) -> Optional[Callable[[float], bool]]:
+    ) -> Optional[Callable[[], float]]:
         scale = tau * rr.lists.query.length
         if scale <= 0.0:
             return None
 
-        def past_depth(head: float) -> bool:
-            # SF's stop condition, head > min(hi, max(max_len(C), Λ)),
+        def depth_limit() -> float:
+            # SF's stop condition, head > min(hi, max(Λ, max_len(C))),
             # applied per list in round-robin; RoundRobin tests hi.  Λ is
             # the max length of a still-admissible new candidate, assuming
-            # it appears in every open list.  max_len(C) is asked only
-            # past Λ.
-            return (
-                head > rr.open_idf_squared / scale
-                and head > candidates.max_length()
-            )
+            # it appears in every open list.
+            admissible = rr.open_idf_squared / scale
+            longest = candidates.max_length()
+            return admissible if admissible > longest else longest
 
-        return past_depth
+        return depth_limit

@@ -16,12 +16,21 @@ Breadth-first (round-robin) like NRA, plus every Section IV property:
   list, so the list is ruled out of its upper bound;
 * **lazy candidate scans** — the candidate set is scanned only when
   ``F < tau`` (it cannot be emptied before that), and a pruning scan stops
-  at the first still-viable candidate (``lazy_scans=True``, the default).
+  at the first still-viable candidate (``lazy_scans=True``, the default);
+* **idle rounds in one step** — once ``F < tau`` a round matters only if a
+  list sees a candidate, passes one, closes or enters a page, so after
+  each pass :meth:`~repro.algorithms.kernel.RoundRobin.skip_idle` pops the
+  rounds before the next such event at once.  Their passes would repeat
+  the last one and are charged to ``candidate_scans`` unrun (one candidate
+  each with lazy scans, all of them otherwise): every answer and counter
+  is a round-by-round run's.
 
 The round-robin read and the per-list frontier state are the kernel's
 :class:`~repro.algorithms.kernel.RoundRobin`; the body here is the
 per-posting admission and the per-round resolve/prune pass.  Hybrid
-(Section VII) is this class with full scans and two hooks overridden.
+(Section VII) is this class with full scans and two hooks overridden: the
+candidate set and a depth limit, which bounds both the rounds and the
+idle rounds popped in one step.
 
 Correctness matches NRA's: upper bounds only ever shrink for valid reasons,
 and the search ends when the candidate set empties or every list completes.
@@ -70,9 +79,13 @@ class INRA(SelectionAlgorithm):
 
         with RoundRobin(lists, lo if self.use_length_bounds else None) as rr:
             frontier_key = rr.frontier_key
-            past_depth = self._depth_cutoff(rr, candidates, tau)
+            depth_limit = self._depth_limit(rr, candidates, tau)
+            # The candidates' sorted keys for rr.skip_idle, rebuilt when the
+            # set shrinks; once F < tau nothing is admitted.
+            keys: List[Tuple[float, int]] = []
+            keyed = -1
             while True:
-                for i, length, set_id, contribution in rr.round(hi, past_depth):
+                for i, length, set_id, contribution in rr.round(hi, depth_limit):
                     cand = get(set_id)
                     if cand is None:
                         if f_threshold < tau:
@@ -105,6 +118,19 @@ class INRA(SelectionAlgorithm):
                         results.append(SearchResult(cand.set_id, cand.lower))
                 if done or (len(candidates) == 0 and f_threshold < tau):
                     break
+                if f_threshold < tau:
+                    if keyed != len(candidates):
+                        keys = sorted(
+                            (cand.length, cand.set_id) for cand in candidates
+                        )
+                        keyed = len(keys)
+                    idle = rr.skip_idle(keys, hi, depth_limit)
+                    if idle:
+                        # Each skipped pass repeats the last: it stops at
+                        # the same viable candidate, or visits them all.
+                        lists.stats.charge_candidate_scan(
+                            idle if self.lazy_scans else idle * len(keys)
+                        )
 
         return results, candidates.peak
 
@@ -112,8 +138,9 @@ class INRA(SelectionAlgorithm):
     def _candidate_set(self, num_lists: int) -> CandidateSet:
         return HashCandidateSet()
 
-    def _depth_cutoff(
+    def _depth_limit(
         self, rr: RoundRobin, candidates: CandidateSet, tau: float
-    ) -> Optional[Callable[[float], bool]]:
-        """An extra stop test on a list's head length; iNRA has none."""
+    ) -> Optional[Callable[[], float]]:
+        """A head length past which a list closes, tighter than ``hi``;
+        iNRA has none."""
         return None

@@ -14,7 +14,8 @@ pieces the algorithms share live here, once:
 
 * :class:`RoundRobin` — one posting per open list per round, the frontier
   state, the list-closing rules, ``F`` (the best score of a still-unseen
-  set) and the per-page element ledger;
+  set) and the per-page element ledger; :meth:`RoundRobin.skip_idle` pops
+  in one step the rounds in which nothing can happen once ``F < tau``;
 * :func:`admission_bound` — the Property 2 best case of a newly popped set;
 * :func:`prune_scan` — one resolve/prune pass over the candidate set;
 * :func:`check_frontier_monotone` — the Magnitude Boundedness contract at a
@@ -23,6 +24,7 @@ pieces the algorithms share live here, once:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from ..contracts import ContractViolation, invariants_enabled
@@ -226,14 +228,15 @@ class RoundRobin:
                 self._pos[i] = 0
 
     def round(
-        self, hi: float, past_depth: Optional[Callable[[float], bool]] = None
+        self, hi: float, depth_limit: Optional[Callable[[], float]] = None
     ) -> Iterator[Tuple[int, float, int, float]]:
         """Pop the head of every open list, in list order, yielding
         ``(i, length, set_id, contribution)`` with the frontier advanced.
 
         A list closes without consuming its head when the head is past
-        ``hi`` (Theorem 1) or ``past_depth(head)`` holds, and right after
-        its last posting is popped, whatever the caller does with it.
+        ``hi`` (Theorem 1) or past ``depth_limit()``, asked at each head,
+        and right after its last posting is popped, whatever the caller
+        does with it.
         """
         lists = self.lists
         cursors = lists.cursors
@@ -260,7 +263,9 @@ class RoundRobin:
                 start = pos
             key = records[pos]
             length = key[0]
-            if length > hi or (past_depth is not None and past_depth(length)):
+            if length > hi or (
+                depth_limit is not None and length > depth_limit()
+            ):
                 if pos > start:
                     cursors[i].advance(pos - start)
                 self._close(i)
@@ -283,6 +288,71 @@ class RoundRobin:
                 if cursor.exhausted():
                     self._close(i)
             yield i, length, set_id, contribution
+
+    def skip_idle(
+        self,
+        keys: Sequence[Tuple[float, int]],
+        hi: float,
+        depth_limit: Optional[Callable[[], float]] = None,
+    ) -> int:
+        """Pop, in one step, the coming rounds in which nothing can happen,
+        and return how many there were.
+
+        Call it right after a round, once ``F < tau``, with ``keys`` the
+        sorted ``(len, id)`` keys of the candidates, and ``hi`` and
+        ``depth_limit`` as that round had them.  A round is idle when no
+        list sees a candidate, passes one (Order Preservation), closes or
+        enters a page; over idle rounds the depth limit cannot move.  A list's frontier has
+        passed every key it yielded, so the first candidate key after it
+        is the list's next candidate event; its last posting is an event
+        too, since popping it closes the list.  Every open list then pops
+        the returned number of postings, each frontier is set from the
+        last of them as :meth:`round` sets it, and a page used up is
+        charged.  The step never enters a page: that happens in a round,
+        with its fault point and deadline check.  Over idle rounds the
+        caller's pass over the candidates repeats its previous one.
+        """
+        limit = hi if depth_limit is None else min(hi, depth_limit())
+        lists = self.lists
+        cursors = lists.cursors
+        frontier_key = self.frontier_key
+        page_of, pos_of = self._page, self._pos
+        open_lists = self.open
+        past_limit = (limit, float("inf"))
+        rounds = 0
+        for i in open_lists:
+            pos = pos_of[i]
+            records, start, end = page_of[i]
+            stop = end - 1 if end >= len(cursors[i]) else end
+            k = bisect_right(keys, frontier_key[i])
+            if k < len(keys) and stop > pos and keys[k] <= records[stop - 1]:
+                stop = bisect_left(records, keys[k], pos, stop)
+            if stop > pos and records[stop - 1][0] > limit:
+                stop = bisect_right(records, past_limit, pos, stop)
+            if stop <= pos:
+                return 0
+            if not rounds or stop - pos < rounds:
+                rounds = stop - pos
+        frontier_contrib = self.frontier_contrib
+        idf_squared = lists.idf_squared
+        query_len = lists.query.length
+        for i in open_lists:
+            pos = pos_of[i] + rounds
+            records, start, end = page_of[i]
+            key = records[pos - 1]
+            length = key[0]
+            # As round() sets it from its last pop.
+            denom = length * query_len
+            contribution = idf_squared[i] / denom if denom > 0.0 else 0.0
+            if self._verify:
+                check_frontier_monotone(lists, i, length, frontier_contrib[i])
+            frontier_key[i] = key
+            frontier_contrib[i] = contribution
+            pos_of[i] = pos
+            if pos >= end:
+                cursors[i].advance(pos - start)
+                page_of[i] = (records, pos, end)
+        return rounds
 
     def close(self, i: int) -> None:
         """Mark list ``i`` complete: it can yield no further answer.  Its

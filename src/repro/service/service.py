@@ -25,9 +25,10 @@ wraps a :class:`~repro.core.search.SetSimilaritySearcher` (or an
 When no deadline fires, service answers are **bit-identical** to
 calling ``searcher.search_prepared`` directly — the service adds no
 scoring path of its own.  Every query runs the algorithm it names (or
-the configured default); an unknown name or a non-positive deadline is
-rejected on entry, before the caches or the circuit breaker see the
-call.  No query starts a thread: every execution runs in its caller's.
+the configured default); a threshold outside ``(0, 1]``, an unknown
+name or a non-positive deadline is rejected on entry, before the caches
+or the circuit breaker see the call.  No query starts a thread: every
+execution runs in its caller's.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from ..core.errors import (
     EmptyQueryError,
     UnknownAlgorithmError,
 )
+from ..core.properties import validate_threshold
 from ..core.query import PreparedQuery
 from ..core.search import SetSimilaritySearcher
 from ..faults import runtime as faults_runtime
@@ -419,7 +421,7 @@ class SimilarityService:
         :class:`~repro.core.errors.ServiceOverloadError` when admission
         control sheds the query.
         """
-        algorithm, deadline = self._resolve(algorithm, deadline)
+        algorithm, deadline = self._resolve(tau, algorithm, deadline)
         self._admission.acquire(1)
         try:
             out = self._answer(
@@ -431,15 +433,18 @@ class SimilarityService:
         return out
 
     def _resolve(
-        self, algorithm: Optional[str], deadline: Optional[float]
+        self, tau: float, algorithm: Optional[str], deadline: Optional[float]
     ) -> Tuple[str, Optional[float]]:
         """The call's algorithm and deadline, or the configured defaults.
 
-        Raises :class:`~repro.core.errors.UnknownAlgorithmError` or
+        Raises :class:`~repro.core.errors.InvalidThresholdError` (``tau``
+        outside ``(0, 1]``, NaN included),
+        :class:`~repro.core.errors.UnknownAlgorithmError` or
         :class:`ConfigurationError` (a deadline that is not positive)
         before admission, the caches or the breaker see the call, so a
         bad request never counts as a backend failure.
         """
+        validate_threshold(tau)
         if not algorithm:
             algorithm = self.config.algorithm  # checked by ServiceConfig
         elif algorithm != self.config.algorithm:
@@ -609,7 +614,7 @@ class SimilarityService:
         larger than ``max_inflight`` could never be admitted and is
         rejected with :class:`ConfigurationError` instead.
         """
-        algorithm, deadline = self._resolve(algorithm, deadline)
+        algorithm, deadline = self._resolve(tau, algorithm, deadline)
         weight = max(len(queries), 1)
         limit = self.config.max_inflight
         if limit is not None and weight > limit:

@@ -91,14 +91,14 @@ def test_head_past_hi_closes_without_reading(lists):
 
 
 def test_head_past_depth_closes_without_reading(lists):
-    heads = []
+    asked = []
 
-    def past_depth(head):
-        heads.append(head)
-        return len(heads) == 2  # cut the second list only
+    def depth_limit():
+        asked.append(1)
+        return -INF if len(asked) == 2 else INF  # cut the second list only
 
     with RoundRobin(lists) as rr:
-        assert [i for i, *_ in rr.round(INF, past_depth)] == [0, 2]
+        assert [i for i, *_ in rr.round(INF, depth_limit)] == [0, 2]
         assert rr.complete == [True, True, False]
     assert lists.cursors[1].position == 0
     assert lists.stats.elements_read == 2
@@ -201,14 +201,17 @@ def test_open_and_closed_mask_follow_complete(lists):
 
 
 class LedgerProbe:
-    """Counts the postings ``RoundRobin.round`` hands out and the elements
-    the length seeks charge, by wrapping both for one test."""
+    """Counts the postings ``RoundRobin.round`` hands out, the postings
+    ``RoundRobin.skip_idle`` pops in bulk (its rounds times the open lists)
+    and the elements the length seeks charge, by wrapping all three for
+    one test."""
 
     def __init__(self, monkeypatch):
         self.pops = 0
         self.seek_charged = 0
         self.instances = []
         round_ = RoundRobin.round
+        skip_idle = RoundRobin.skip_idle
         seek = WeightOrderCursor.seek_length_ge
 
         def counted_round(rr, *args, **kwargs):
@@ -217,12 +220,18 @@ class LedgerProbe:
                 self.pops += 1
                 yield item
 
+        def counted_skip_idle(rr, *args, **kwargs):
+            rounds = skip_idle(rr, *args, **kwargs)
+            self.pops += rounds * len(rr.open)
+            return rounds
+
         def counted_seek(cursor, lo):
             before = cursor._stats.elements_read
             seek(cursor, lo)
             self.seek_charged += cursor._stats.elements_read - before
 
         monkeypatch.setattr(RoundRobin, "round", counted_round)
+        monkeypatch.setattr(RoundRobin, "skip_idle", counted_skip_idle)
         monkeypatch.setattr(WeightOrderCursor, "seek_length_ge", counted_seek)
 
     def check(self, stats):

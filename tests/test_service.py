@@ -36,6 +36,7 @@ from repro.algorithms import algorithm_names
 from repro.core.errors import (
     ConfigurationError,
     EmptyQueryError,
+    InvalidThresholdError,
     UnknownAlgorithmError,
 )
 from repro.data.synthetic import generate_word_database
@@ -393,6 +394,21 @@ class TestRequestValidation:
         assert service.search(["data", "cleaning"], 0.4).results
         assert service.stats()["breaker_state"] == "closed"
 
+    @pytest.mark.parametrize("tau", [1.5, 0.0, -0.2, float("nan")])
+    def test_bad_threshold_never_opens_the_breaker(self, searcher, tau):
+        with SimilarityService(
+            searcher, ServiceConfig(breaker_threshold=2)
+        ) as service:
+            for _ in range(3):
+                with pytest.raises(InvalidThresholdError):
+                    service.search(["a"], tau)
+                with pytest.raises(InvalidThresholdError):
+                    service.search_batch([["a"]], tau)
+            assert service.search(["data", "cleaning"], 0.5).results
+            stats = service.stats()
+            assert stats["breaker_state"] == "closed"
+            assert stats["queries_served"] == 1
+
     @pytest.mark.parametrize("deadline", [0.0, -0.005, float("nan")])
     def test_nonpositive_deadline_rejected(self, service, deadline):
         with pytest.raises(ConfigurationError, match="deadline"):
@@ -673,6 +689,30 @@ class TestHTTPServer:
         )
         assert body["ok"] and body["results"]
         assert self._get(server.url + "/stats")["breaker_state"] == "closed"
+
+    def test_bad_threshold_is_400_and_breaker_stays_closed(self):
+        tokenizer = QGramTokenizer()
+        collection = SetCollection.from_strings(["Main Street"], tokenizer)
+        with SimilarityService(
+            SetSimilaritySearcher(collection),
+            ServiceConfig(breaker_threshold=2),
+            tokenizer=tokenizer,
+        ) as service, ServiceHTTPServer(service, port=0) as server:
+            for _ in range(3):
+                with pytest.raises(urllib.error.HTTPError) as exc:
+                    self._post(
+                        server.url + "/search",
+                        {"text": "Main", "threshold": 1.5},
+                    )
+                assert exc.value.code == 400
+                assert "1.5" in json.loads(exc.value.read())["error"]
+            body = self._post(
+                server.url + "/search",
+                {"text": "Main Stret", "threshold": 0.5},
+            )
+            assert body["ok"] and body["results"]
+            stats = self._get(server.url + "/stats")
+            assert stats["breaker_state"] == "closed"
 
     def test_idle_keep_alive_connection_is_closed(self, server, monkeypatch):
         from repro.service import httpd

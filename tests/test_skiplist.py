@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import StorageError
 from repro.storage.pages import IOStats
-from repro.storage.skiplist import SkipList, _tower_height
+from repro.storage.skiplist import KEY_BYTES, POINTER_BYTES, SkipList
 
 
 def make_keys(n, seed=0):
@@ -20,17 +20,86 @@ def make_keys(n, seed=0):
     return keys
 
 
+def tower_height(ordinal):
+    """The per-ordinal definition: trailing one-bits of ``ordinal`` + 1."""
+    height = 1
+    while ordinal & 1:
+        height += 1
+        ordinal >>= 1
+    return height
+
+
+def reference_levels(kept):
+    """``levels[h]``: the towers higher than ``h``, one ordinal at a time."""
+    if not kept:
+        return []
+    levels = [[] for _ in range(max(map(tower_height, range(kept))))]
+    for i in range(kept):
+        for h in range(tower_height(i)):
+            levels[h].append(i)
+    return levels
+
+
+def heights(sl):
+    return [
+        sum(i in level for level in sl._levels) for i in range(len(sl._keys))
+    ]
+
+
 class TestTowerHeights:
     def test_deterministic(self):
-        assert _tower_height(0) == 1
-        assert _tower_height(1) == 2
-        assert _tower_height(3) == 3
-        assert _tower_height(7) == 4
+        assert heights(SkipList(make_keys(8))) == [1, 2, 1, 3, 1, 2, 1, 4]
 
     def test_geometric_distribution(self):
-        heights = [_tower_height(i) for i in range(1024)]
-        assert sum(1 for h in heights if h >= 2) == 512
-        assert sum(1 for h in heights if h >= 3) == 256
+        levels = SkipList(make_keys(1024))._levels
+        assert len(levels[1]) == 512
+        assert len(levels[2]) == 256
+
+    @staticmethod
+    def _check_against_reference(n, max_bytes, probes):
+        keys = make_keys(n, seed=n)
+        sl = SkipList(keys, max_bytes=max_bytes)
+        kept = len(sl._keys)
+        levels = reference_levels(kept)
+        assert [list(level) for level in sl._levels] == levels
+        assert list(sl._positions) == list(range(0, n, sl.stride))
+        assert sl._keys == keys[:: sl.stride]
+        towers = sum(len(level) for level in levels)
+        assert sl.size_bytes() == kept * KEY_BYTES + towers * POINTER_BYTES
+        for probe in probes:
+            stats = IOStats()
+            pos = sl.seek_ge(probe, stats)
+            # The descent over the reference towers, jump for jump.
+            idx, visited = -1, 0
+            for level in reversed(levels):
+                for tower in level:
+                    if tower <= idx:
+                        continue
+                    visited += 1
+                    if sl._keys[tower] < probe:
+                        idx = tower
+                    else:
+                        break
+            expected = 0 if idx < 0 else min(sl._positions[idx] + 1, n)
+            assert (pos, stats.skip_jumps) == (expected, visited)
+
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.sampled_from([None, 64, 512, 4096]),
+        st.lists(st.floats(-10, 110), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_levels_match_per_ordinal_towers(self, n, max_bytes, lengths):
+        self._check_against_reference(
+            n, max_bytes, [(length, 500) for length in lengths]
+        )
+
+    @pytest.mark.parametrize("n", [1000, 1023, 1024, 1025, 4097])
+    @pytest.mark.parametrize("max_bytes", [None, 64, 512, 4096])
+    def test_levels_match_per_ordinal_towers_at_size(self, n, max_bytes):
+        self._check_against_reference(
+            n, max_bytes, [(-1.0, 0), (37.5, 0), (99.9, 9999), (200.0, 0)]
+        )
 
 
 class TestSeek:
