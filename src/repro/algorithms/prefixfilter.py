@@ -32,7 +32,7 @@ by the SQL based approach" (and a fortiori by the specialized algorithms).
 from __future__ import annotations
 
 import time
-from typing import List, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from ..core.collection import SetCollection
 from ..core.errors import ConfigurationError, EmptyQueryError

@@ -46,42 +46,12 @@ class ShortestFirst(SelectionAlgorithm):
     """Depth-first list-at-a-time processing with λ cutoffs
     (Section VI, Algorithm 3; cutoffs from Equation 2).
 
-    ``list_order`` strategies (an ablation beyond the paper — the λ
-    correctness argument only needs the *suffix* structure, which holds for
-    any processing order, so ordering is purely a performance choice):
-
-    * ``"idf"`` (default, the paper's SF): decreasing idf — rare tokens
-      first, λ drops as fast as possible;
-    * ``"shortest-list"``: increasing postings-list length — fewest
-      candidate introductions first;
-    * ``"density"``: decreasing ``idf² / list_length`` — weight delivered
-      per posting read, a cost-aware compromise.
+    Lists are read in :class:`QueryLists` order, decreasing idf.  idf falls
+    strictly as a list grows, so on an index built from its own statistics
+    this is also shortest-list-first and densest-first (``idf² / N(t)``).
     """
 
     name = "sf"
-    ORDERS = ("idf", "shortest-list", "density")
-
-    def __init__(self, index, list_order: str = "idf", **kwargs) -> None:
-        super().__init__(index, **kwargs)
-        if list_order not in self.ORDERS:
-            from ..core.errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"list_order must be one of {self.ORDERS}, got {list_order!r}"
-            )
-        self.list_order_strategy = list_order
-
-    def _list_order(self, lists: QueryLists) -> List[int]:
-        n = len(lists)
-        if self.list_order_strategy == "idf":
-            return list(range(n))  # QueryLists is already idf-descending
-        if self.list_order_strategy == "shortest-list":
-            return sorted(range(n), key=lambda i: len(lists.cursors[i]))
-        return sorted(
-            range(n),
-            key=lambda i: -lists.idf_squared[i]
-            / max(len(lists.cursors[i]), 1),
-        )
 
     def _run(self, lists: QueryLists, tau: float) -> Tuple[List[SearchResult], int]:
         n = len(lists)
@@ -90,12 +60,10 @@ class ShortestFirst(SelectionAlgorithm):
         lo, hi = self._bounds(lists, tau)
         query_len = lists.query.length
 
-        order = self._list_order(lists)
-        # Suffix sums of squared idfs in *processing* order:
-        # potential[k] = Σ_{j >= k} idf²(order[j]).
+        # Suffix sums of squared idfs: potential[i] = Σ_{j >= i} idf²(q^j).
         potential = [0.0] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            potential[k] = potential[k + 1] + lists.idf_squared[order[k]]
+        for i in range(n - 1, -1, -1):
+            potential[i] = potential[i + 1] + lists.idf_squared[i]
         # λ cutoffs over the open lists (Equation 2).  With length bounding
         # disabled these still apply — they stem from Magnitude Boundedness.
         denom = tau * query_len
@@ -111,7 +79,7 @@ class ShortestFirst(SelectionAlgorithm):
         peak = 0
 
         tracer = obs_trace.current()
-        for k, i in enumerate(order):
+        for i in range(n):
             cursor = lists.cursors[i]
             list_span = (
                 tracer.span("sf.scan_list", token=cursor.token)
@@ -120,9 +88,9 @@ class ShortestFirst(SelectionAlgorithm):
             )
             if self.use_length_bounds:
                 cursor.seek_length_ge(lo)
-            cutoff = cutoffs[k]
+            cutoff = cutoffs[i]
             mu = min(cutoff, hi)
-            suffix_after = potential[k + 1]
+            suffix_after = potential[i + 1]
             idf_squared = lists.idf_squared[i]
             new_cands: List[Candidate] = []
             discover = new_cands.append

@@ -23,34 +23,16 @@ set id), each with its exact score.
 from __future__ import annotations
 
 import heapq
+import time
 from typing import List
 
 from ..core.errors import ConfigurationError
 from ..core.query import PreparedQuery
 from ..storage.invlist import InvertedIndex
 from ..storage.pages import IOStats
-from .base import QueryLists, SearchResult
+from .base import AlgorithmResult, QueryLists, SearchResult
 from .candidates import Candidate, HashCandidateSet
 from .kernel import RoundRobin, admission_bound, prune_scan
-
-
-class TopKResult:
-    """Top-k answers plus the I/O ledger of the search."""
-
-    __slots__ = ("results", "stats", "elements_total")
-
-    def __init__(
-        self, results: List[SearchResult], stats: IOStats, elements_total: int
-    ) -> None:
-        self.results = results
-        self.stats = stats
-        self.elements_total = elements_total
-
-    def ids(self) -> List[int]:
-        return [r.set_id for r in self.results]
-
-    def __len__(self) -> int:
-        return len(self.results)
 
 
 class TopKSearcher:
@@ -60,15 +42,17 @@ class TopKSearcher:
         self.index = index
         self.use_skip_lists = use_skip_lists
 
-    def search(self, query: PreparedQuery, k: int) -> TopKResult:
+    def search(self, query: PreparedQuery, k: int) -> AlgorithmResult:
+        """The k best answers as a ``"top-k"`` :class:`AlgorithmResult`."""
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
+        started = time.perf_counter()
         stats = IOStats()
         lists = QueryLists(
             self.index, query, stats, use_skip_lists=self.use_skip_lists
         )
         if len(lists) == 0:
-            return TopKResult([], stats, 0)
+            return AlgorithmResult("top-k", [], stats, 0)
         query_len = query.length
         candidates = HashCandidateSet()
         finalists: List[Candidate] = []  # resolved, exact scores
@@ -131,4 +115,11 @@ class TopKSearcher:
         results = [
             SearchResult(c.set_id, c.lower) for c in top if c.lower > 0.0
         ]
-        return TopKResult(results, stats, lists.elements_total)
+        return AlgorithmResult(
+            "top-k",
+            results,
+            stats,
+            lists.elements_total,
+            wall_seconds=time.perf_counter() - started,
+            peak_candidates=candidates.peak,
+        )

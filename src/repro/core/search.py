@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # annotation-only: keeps core below algorithms in the DAG
     from ..algorithms.base import AlgorithmResult, SearchResult
-    from ..algorithms.topk import TopKResult
 
 from ..storage.invlist import InvertedIndex
 from .collection import SetCollection
@@ -109,7 +108,7 @@ class SetSimilaritySearcher:
         alg = _algorithm_factory()(algorithm, index, **algorithm_options)
         return alg.search(query, threshold, deadline=deadline)
 
-    def top_k(self, tokens: Sequence[str], k: int) -> TopKResult:
+    def top_k(self, tokens: Sequence[str], k: int) -> AlgorithmResult:
         """The k most similar sets (future-work extension, Section X)."""
         from ..algorithms.topk import TopKSearcher
 

@@ -340,13 +340,15 @@ class InvertedIndex:
         self, token: str, entries: List[Tuple[float, int]]
     ) -> TokenPostings:
         """One token's weight-ordered file and skip list from its sorted
-        entries."""
+        entries, which both adopt as they are: the list is the file's
+        records and the skip list strides over it, so it must not change
+        afterwards."""
         if invariants_enabled():
             check_order_preservation(
                 entries, source=f"weight-ordered list {token!r}"
             )
         weight_file = PagedFile(POSTING_BYTES, self.page_capacity)
-        weight_file.extend(entries)
+        weight_file._records = entries
         skip = None
         if self.with_skip_lists:
             skip = SkipList(
@@ -358,8 +360,8 @@ class InvertedIndex:
 
     def _build_id_file(self, postings: TokenPostings) -> PagedFile:
         id_file = PagedFile(POSTING_BYTES, self.page_capacity)
-        id_file.extend(
-            sorted((sid, ln) for ln, sid in postings.weight_file.records())
+        id_file._records = sorted(
+            (sid, ln) for ln, sid in postings.weight_file.records()
         )
         return id_file
 

@@ -16,6 +16,7 @@ from repro.storage.buffer import BufferedIOStats
 from repro.storage.exthash import ExtendibleHash
 from repro.storage.invlist import POSTING_BYTES, InvertedIndex
 from repro.storage.pages import IOStats, PagedFile, SequentialCursor
+from repro.storage.persist import load_searcher, save_searcher
 from repro.storage.skiplist import SkipList
 
 
@@ -169,6 +170,40 @@ class TestSizeReport:
         # The paper's Figure 5 point: extendible hashing is the heavy part.
         report = InvertedIndex(coll).size_report()
         assert report["extendible_hashing"] > report["skip_lists"]
+
+
+class TestOneListPerToken:
+    """A skip list strides over its weight file's own records."""
+
+    @staticmethod
+    def _assert_one_list(index):
+        for postings in index._postings.values():
+            records = postings.weight_file._records
+            skip = postings.skip
+            held = [
+                getattr(skip, name)
+                for name in type(skip).__slots__
+                if isinstance(getattr(skip, name), list)
+            ]
+            assert len(held) == 1 and held[0] is records
+            assert len(skip) == len(records)
+
+    def test_built_index(self, index):
+        self._assert_one_list(index)
+
+    def test_with_set_successor(self, coll, index):
+        grown = index.with_set(5, ["a", "d"], coll.length(4))
+        self._assert_one_list(grown)
+        # Untouched lists are shared, touched ones are new.
+        assert grown._postings["b"] is index._postings["b"]
+        assert (
+            grown._postings["a"].weight_file._records
+            is not index._postings["a"].weight_file._records
+        )
+
+    def test_loaded_index(self, coll, tmp_path):
+        save_searcher(SetSimilaritySearcher(coll), tmp_path / "x")
+        self._assert_one_list(load_searcher(tmp_path / "x").index)
 
 
 # ---------------------------------------------------------------------------

@@ -40,58 +40,76 @@ def reference_levels(kept):
     return levels
 
 
-def heights(sl):
-    return [
-        sum(i in level for level in sl._levels) for i in range(len(sl._keys))
-    ]
+def reference_heights(kept):
+    """Each kept key's tower height, read off ``reference_levels``."""
+    levels = reference_levels(kept)
+    return [sum(i in level for level in levels) for i in range(kept)]
+
+
+def reference_descent(kept_keys, stride, n, probe):
+    """``(position, jumps)`` of a descent over the reference towers."""
+    idx, visited = -1, 0
+    for level in reversed(reference_levels(len(kept_keys))):
+        for tower in level:
+            if tower <= idx:
+                continue
+            visited += 1
+            if kept_keys[tower] < probe:
+                idx = tower
+            else:
+                break
+    return (0 if idx < 0 else min(idx * stride + 1, n)), visited
 
 
 class TestTowerHeights:
     def test_deterministic(self):
-        assert heights(SkipList(make_keys(8))) == [1, 2, 1, 3, 1, 2, 1, 4]
+        heights = reference_heights(8)
+        assert heights == [1, 2, 1, 3, 1, 2, 1, 4]
+        sl = SkipList(make_keys(8))
+        assert sl.size_bytes() == 8 * KEY_BYTES + sum(heights) * POINTER_BYTES
 
     def test_geometric_distribution(self):
-        levels = SkipList(make_keys(1024))._levels
+        levels = reference_levels(1024)
         assert len(levels[1]) == 512
         assert len(levels[2]) == 256
+        towers = sum(len(level) for level in levels)
+        assert towers == 2047
+        sl = SkipList(make_keys(1024))
+        assert sl.size_bytes() == 1024 * KEY_BYTES + towers * POINTER_BYTES
 
     @staticmethod
-    def _check_against_reference(n, max_bytes, probes):
+    def _check_against_reference(n, max_bytes, probes, strides=(1, 3, 16)):
         keys = make_keys(n, seed=n)
-        sl = SkipList(keys, max_bytes=max_bytes)
-        kept = len(sl._keys)
-        levels = reference_levels(kept)
-        assert [list(level) for level in sl._levels] == levels
-        assert list(sl._positions) == list(range(0, n, sl.stride))
-        assert sl._keys == keys[:: sl.stride]
-        towers = sum(len(level) for level in levels)
-        assert sl.size_bytes() == kept * KEY_BYTES + towers * POINTER_BYTES
-        for probe in probes:
-            stats = IOStats()
-            pos = sl.seek_ge(probe, stats)
-            # The descent over the reference towers, jump for jump.
-            idx, visited = -1, 0
-            for level in reversed(levels):
-                for tower in level:
-                    if tower <= idx:
-                        continue
-                    visited += 1
-                    if sl._keys[tower] < probe:
-                        idx = tower
-                    else:
-                        break
-            expected = 0 if idx < 0 else min(sl._positions[idx] + 1, n)
-            assert (pos, stats.skip_jumps) == (expected, visited)
+        for stride in strides:
+            sl = SkipList(keys, max_bytes=max_bytes, stride=stride)
+            assert sl.stride % stride == 0  # thinning only doubles it
+            kept_keys = keys[:: sl.stride]
+            kept = len(kept_keys)
+            assert sl.min_key() == (kept_keys[0] if kept else None)
+            towers = sum(len(level) for level in reference_levels(kept))
+            assert sl.size_bytes() == (
+                kept * KEY_BYTES + towers * POINTER_BYTES
+            )
+            for probe in probes + kept_keys[:: max(1, kept // 8)]:
+                stats = IOStats()
+                pos = sl.seek_ge(probe, stats)
+                # The descent over the reference towers, jump for jump.
+                assert (pos, stats.skip_jumps) == reference_descent(
+                    kept_keys, sl.stride, n, probe
+                )
 
     @given(
         st.integers(min_value=0, max_value=300),
         st.sampled_from([None, 64, 512, 4096]),
         st.lists(st.floats(-10, 110), max_size=4),
+        st.sampled_from([1, 3, 16]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_levels_match_per_ordinal_towers(self, n, max_bytes, lengths):
+    def test_levels_match_per_ordinal_towers(
+        self, n, max_bytes, lengths, stride
+    ):
         self._check_against_reference(
-            n, max_bytes, [(length, 500) for length in lengths]
+            n, max_bytes, [(length, 500) for length in lengths], (stride,)
         )
 
     @pytest.mark.parametrize("n", [1000, 1023, 1024, 1025, 4097])
