@@ -2,7 +2,9 @@
 
 A collection assigns every set a dense integer id (0..N-1) and stores each
 set once, as its multiset token counts (used by TF/IDF and BM25); the set
-view IDF uses is the keys of those counts.  It computes the corpus
+view IDF uses is the keys of those counts.  Every way a set enters maps its
+tokens through one per-collection table, so each distinct token is one
+string object however many sets hold it.  It computes the corpus
 :class:`~repro.core.weights.IdfStatistics` and per-set normalized lengths
 once, on demand.
 
@@ -76,6 +78,10 @@ class SetCollection:
 
     def __init__(self) -> None:
         self._records: List[SetRecord] = []
+        #: The one string object of each distinct token, keyed by itself:
+        #: every record's ``counts`` are keyed by these.  Not
+        #: ``sys.intern``, which makes strings immortal on CPython 3.12.
+        self._tokens: Dict[str, str] = {}
         self._frozen = False
         self._generation = 0
         self._stats: Optional[IdfStatistics] = None
@@ -113,20 +119,34 @@ class SetCollection:
         coll.freeze()
         return coll
 
-    def add(self, tokens: Sequence[str], payload: Any = None) -> int:
+    def add(self, tokens: Iterable[str], payload: Any = None) -> int:
         """Append one set; returns its id. Empty token lists are allowed
-        (they simply never match anything)."""
-        return self.add_counts(tf_counts(list(tokens)), payload)
-
-    def add_counts(self, counts: Dict[str, int], payload: Any = None) -> int:
-        """Append one set given as token counts (its multiset view, as
-        :mod:`repro.storage.persist` stores it); returns its id.  The dict
-        becomes the record's ``counts``; every count must be positive."""
+        (they simply never match anything).  The record's ``counts`` hold
+        each token once, in first-occurrence order."""
         if self._frozen:
             raise ConfigurationError("collection is frozen; cannot add")
+        tokens = list(tokens)
+        setdefault = self._tokens.setdefault
+        counts = dict.fromkeys(map(setdefault, tokens, tokens), 1)
+        if len(counts) != len(tokens):  # a multiset
+            counts = tf_counts(list(map(setdefault, tokens, tokens)))
         return self._append_counts(counts, payload)
 
+    def add_counts(self, counts: Dict[str, int], payload: Any = None) -> int:
+        """Append one set given as token counts (its multiset view);
+        returns its id.  The record's ``counts`` are a copy in the same
+        key order; every count must be positive."""
+        if self._frozen:
+            raise ConfigurationError("collection is frozen; cannot add")
+        return self._append_counts(self._shared(counts), payload)
+
+    def _shared(self, counts: Dict[str, int]) -> Dict[str, int]:
+        """``counts`` keyed by the collection's string for each token."""
+        keys = map(self._tokens.setdefault, counts, counts)
+        return dict(zip(keys, counts.values()))
+
     def _append_counts(self, counts: Dict[str, int], payload: Any) -> int:
+        """Append a set whose counts are keyed by shared strings."""
         rec = SetRecord(len(self._records), counts, payload)
         self._records.append(rec)
         self._generation += 1

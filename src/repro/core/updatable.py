@@ -33,9 +33,9 @@ reference once, so a query sees one epoch and one set of inserts.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
-from .collection import SetCollection, SetRecord
+from .collection import SetCollection
 from .errors import ConfigurationError
 from .search import SetSimilaritySearcher
 from .weights import tf_counts
@@ -62,13 +62,14 @@ class UpdatableSearcher(SetSimilaritySearcher):
     def _publish(
         self,
         epoch: int,
-        records: Iterable[SetRecord],
+        collection: SetCollection,
         with_skip_lists: bool = True,
     ) -> "UpdatableSearcher":
-        """Pin the statistics of ``records`` as epoch ``epoch``, build its
-        index and make it the published one; returns ``self``."""
+        """Pin the statistics of ``collection`` as epoch ``epoch``, build
+        its index and make it the published one; returns ``self``."""
         super().__init__(
-            _EpochCollection(epoch, records), with_skip_lists=with_skip_lists
+            _EpochCollection(epoch, collection),
+            with_skip_lists=with_skip_lists,
         )
         return self
 
@@ -146,13 +147,14 @@ class _EpochCollection(SetCollection):
 
     Sets added later are scored with the pinned statistics, so no stored
     length ever shifts.  A rebuild makes a new collection over the same
-    records.
+    records, which adopts their collection's token strings.
     """
 
-    def __init__(self, epoch: int, records: Iterable[SetRecord]) -> None:
+    def __init__(self, epoch: int, collection: SetCollection) -> None:
         super().__init__()
         self.epoch = epoch
-        self._records = list(records)
+        self._records = list(collection)
+        self._tokens = collection._tokens
         self.freeze()
         self.lengths()  # pin the statistics and every length now
 
@@ -164,7 +166,9 @@ class _EpochCollection(SetCollection):
         self, counts: Dict[str, int], length: float, payload: Any = None
     ) -> int:
         """Append a set given as token counts with its normalized length
-        under the pinned statistics; returns its id."""
+        under the pinned statistics; returns its id.  The record's
+        ``counts`` are a copy keyed by the collection's token strings."""
+        counts = self._shared(counts)
         # The length goes in first: a reader that sees the record can
         # always look its length up.
         self._lengths.append(length)

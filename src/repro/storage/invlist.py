@@ -342,7 +342,9 @@ class InvertedIndex:
         """One token's weight-ordered file and skip list from its sorted
         entries, which both adopt as they are: the list is the file's
         records and the skip list strides over it, so it must not change
-        afterwards."""
+        afterwards.  Both callers sort it (``sort``, ``bisect.insort``),
+        so the skip list does not scan it again; armed runs check it
+        here."""
         if invariants_enabled():
             check_order_preservation(
                 entries, source=f"weight-ordered list {token!r}"
@@ -351,10 +353,8 @@ class InvertedIndex:
         weight_file._records = entries
         skip = None
         if self.with_skip_lists:
-            skip = SkipList(
-                entries,
-                max_bytes=self.skiplist_max_bytes,
-                stride=self.skiplist_stride,
+            skip = SkipList._over_sorted(
+                entries, self.skiplist_max_bytes, self.skiplist_stride
             )
         return TokenPostings(token, weight_file, skip)
 

@@ -17,17 +17,22 @@ time: decoding them and proving them equal to a build costs about what
 the build does.  Hash indexes and id-ordered lists are built on first
 use, like in any fresh index.
 
-Generation layout (format version 3)::
+Generation layout (format version 4)::
 
     index-dir/
       CURRENT              # text: name of the live generation
       gen-000001/
         manifest.json      # version, skip-list flag, counts, sha256
-        collection.jsonl   # per set, in id order: {"counts": …, "payload": …}
+        collection.jsonl   # per set, in id order: [payload, token, …]
         inserts.jsonl      # optional: CRC-framed sets added since the save
 
-Earlier format-3 lines also hold ``"tokens"``, the keys of ``counts``;
-a load reads only ``counts`` and ``payload``, so both kinds load.
+A ``collection.jsonl`` line is one compact JSON array: the set's payload,
+then its tokens, each written as many times as it counts, in the order of
+the record's ``counts``.  A load rebuilds ``counts`` in that key order,
+so ``[null,"ab","ab","bc"]`` is ``{"ab": 2, "bc": 1}``.  Each token that
+a load, a tail replay or a build brings in maps to its collection's one
+string for it (:class:`~repro.core.collection.SetCollection`), so the
+loaded sets hold every distinct token once.
 
 A save writes a fresh generation into a hidden temp directory, fsyncs
 every file, writes the manifest *last* (so a manifest can never name
@@ -37,9 +42,10 @@ the old generation until that final rename.  Then it deletes every
 generation but the new one and the one ``CURRENT`` named before.
 
 A save writes no ``inserts.jsonl``; :class:`DurableUpdatableSearcher`
-appends each insert to it.  A load indexes the tail's verified lines
-after the collection and reports the rest as dropped; it leaves them on
-disk, and the next append cuts them off (see :func:`_read_inserts`).
+appends each insert to it, as ``["add", payload, token, …]``.  A load
+indexes the tail's verified lines after the collection and reports the
+rest as dropped; it leaves them on disk, and the next append cuts them
+off (see :func:`_read_inserts`).
 
 Loading verifies manifest → checksum → collection → the built index's
 counts; any damage is attributed to a specific component in a structured
@@ -48,15 +54,20 @@ loader quarantines it (rename to ``<gen>.corrupt``) and falls back to
 the newest intact generation; only when *no* generation survives does
 it raise :class:`~repro.core.errors.CorruptIndexError` carrying the
 report.  A read that raises ``OSError`` proves no damage (it may be
-transient), so the load raises it and renames nothing.
+transient), so the load raises it and renames nothing; neither is a
+manifest naming a format newer than :data:`FORMAT_VERSION` damage: the
+load raises :class:`~repro.core.errors.StorageError`.
 
-Format 2 generations and the flat single-directory layout of format 1
-(``manifest.json`` + data files at top level) are still read; nothing
-writes them any more.  They also hold ``postings.bin``, the lists as
-they were stored then: a load builds the index from the collection as
-above and accepts the directory only if that file is byte for byte what
-the build encodes, so a stored list a build would not reproduce is
-``postings`` damage, checksum or not.
+Formats 1 to 3 are still read; nothing writes them any more.  Their
+lines are JSON objects, ``{"counts": …, "payload": …}`` (earlier
+format-3 lines also hold ``"tokens"``, the keys of ``counts``, which a
+load ignores), and so are the lines of a format-3 tail.  Format 2
+generations and the flat single-directory layout of format 1
+(``manifest.json`` + data files at top level) also hold
+``postings.bin``, the lists as they were stored then: a load builds the
+index from the collection as above and accepts the directory only if
+that file is byte for byte what the build encodes, so a stored list a
+build would not reproduce is ``postings`` damage, checksum or not.
 """
 
 from __future__ import annotations
@@ -64,6 +75,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
 import os
 import shutil
 import struct
@@ -71,7 +83,16 @@ import zlib
 from collections import Counter
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.collection import SetCollection
 from ..core.errors import CorruptIndexError, StorageError
@@ -81,8 +102,8 @@ from ..core.weights import tf_counts
 from ..faults import runtime as faults_runtime
 from .invlist import InvertedIndex, _gc_paused
 
-FORMAT_VERSION = 3
-SUPPORTED_VERSIONS = (1, 2, 3)
+FORMAT_VERSION = 4
+SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 _POSTING = struct.Struct("<dQ")
 _COUNT = struct.Struct("<I")
@@ -130,6 +151,8 @@ class RecoveryReport:
         self.loaded_generation: Optional[str] = None
         self.quarantined: List[str] = []
         self.legacy = False
+        #: The loaded generation's ``format_version``.
+        self.format_version: Optional[int] = None
         #: Lines of the loaded generation's ``inserts.jsonl`` replayed and
         #: dropped.
         self.replayed = 0
@@ -214,25 +237,36 @@ def _read_file(path: Path, site: str) -> bytes:
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
-def _record_json(what: str, record: Dict[str, Any]) -> str:
-    """A set's saved record as one JSON line; a token that is not a
-    string (JSON would make it one) is a :class:`StorageError`."""
-    if not all(isinstance(token, str) for token in record["counts"]):
+def _record_json(
+    what: str, counts: Dict[str, int], payload: Any, head: Sequence[str] = ()
+) -> str:
+    """A set's saved line, ``[*head, payload, token, …]``, each token
+    written as many times as it counts, in ``counts`` key order.  A
+    token that is not a string (JSON would make it one) or a count that
+    is not a positive integer is a :class:`StorageError` naming
+    ``what``."""
+    if not all(map(isinstance, counts, itertools.repeat(str))):
         raise StorageError(f"{what}'s tokens must be strings")
+    tokens: Iterable[str] = counts
+    values = counts.values()
+    if any(map(operator.ne, values, itertools.repeat(1))):  # a multiset
+        if not all(type(n) is int and n > 0 for n in values):
+            raise StorageError(f"{what}'s counts must be positive integers")
+        tokens = itertools.chain.from_iterable(
+            map(itertools.repeat, counts, values)
+        )
     try:
-        return _encode(record)
+        return _encode([*head, payload, *tokens])
     except (TypeError, ValueError) as exc:
         raise StorageError(f"{what} is not JSON-serializable: {exc}") from None
 
 
 def _collection_bytes(collection: SetCollection) -> bytes:
     lines = [
-        _record_json(
-            f"set {rec.set_id}", {"counts": rec.counts, "payload": rec.payload}
-        )
+        _record_json(f"set {rec.set_id}", rec.counts, rec.payload)
         for rec in collection
     ]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
@@ -491,6 +525,12 @@ def _load_generation(
         raise _ComponentFailure("manifest", "manifest.json is not an object")
     version = manifest.get("format_version")
     # ``True == 1``: without the type test a flag would pass as format 1.
+    if type(version) is int and version > FORMAT_VERSION:
+        # Written by a newer version: not damage, so nothing is renamed.
+        raise StorageError(
+            f"{gen_dir} holds format {version}, newer than the format "
+            f"{FORMAT_VERSION} this version reads"
+        )
     if type(version) is not int or version not in SUPPORTED_VERSIONS:
         raise _ComponentFailure(
             "manifest", f"unsupported format version {version!r}"
@@ -527,10 +567,11 @@ def _load_generation(
                 f"{expected[:12]}…, file hashes to {actual[:12]}…",
             )
 
+    parse = _parse_arrays if version >= 4 else _parse_objects
     with _gc_paused():
-        collection = _parse_collection(collection_data, manifest)
+        collection = _parse_collection(collection_data, manifest, parse)
         added, tail_end, dropped = _read_inserts(gen_dir / INSERTS_FILE)
-        _parse_sets(collection, added, "inserts")
+        parse(collection, added, "inserts")
         searcher = build(
             collection.freeze(), with_skip_lists=manifest["with_skip_lists"]
         )
@@ -566,6 +607,7 @@ def _load_generation(
                 f"the built index has {key} = {value}, expected "
                 f"{expected_counts[key]} from the manifest",
             )
+    report.format_version = version
     report.replayed = len(added)
     report.dropped = dropped
     if dropped:
@@ -578,8 +620,15 @@ def _load_generation(
     return searcher, tail_end
 
 
-def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
-    """The saved sets, not yet frozen: a load appends the tail's."""
+#: Appends one set per line of a collection file or tail to a collection.
+_Parse = Callable[[SetCollection, Sequence[Any], str], None]
+
+
+def _parse_collection(
+    data: bytes, manifest: Dict[str, Any], parse: _Parse
+) -> SetCollection:
+    """The saved sets, not yet frozen: a load appends the tail's.  Lines
+    end at ``\n`` only: a JSON string may hold U+2028 or U+0085 as is."""
     collection = SetCollection()
     try:
         text = data.decode("utf-8")
@@ -587,7 +636,7 @@ def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
         raise _ComponentFailure(
             "collection", f"collection.jsonl is not UTF-8: {exc}"
         ) from None
-    _parse_sets(collection, text.splitlines(), "collection")
+    parse(collection, text.split("\n"), "collection")
     if len(collection) != manifest["num_sets"]:
         raise _ComponentFailure(
             "collection",
@@ -597,12 +646,49 @@ def _parse_collection(data: bytes, manifest: Dict[str, Any]) -> SetCollection:
     return collection
 
 
-def _parse_sets(
+def _parse_arrays(
     collection: SetCollection, lines: Sequence[Any], component: str
 ) -> None:
-    """Append one set per JSON line: its ``counts``, each a positive
-    integer, and its ``payload``.  A tail line (``component`` is
-    ``"inserts"``) also names its kind, and only ``"add"`` is known."""
+    """Append one set per format-4 line, ``[payload, token, …]`` with
+    each token a string.  A tail line (``component`` is ``"inserts"``)
+    starts with its kind, and only ``"add"`` is known."""
+    first = 2 if component == "inserts" else 1
+    add = collection.add
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise _ComponentFailure(
+                component, f"line {lineno} does not parse: {exc}"
+            ) from None
+        if type(record) is not list or len(record) < first:
+            raise _ComponentFailure(
+                component,
+                f"line {lineno} is not a [{'kind, ' * (first - 1)}payload, "
+                "token, …] array",
+            )
+        if first == 2 and record[0] != "add":
+            raise StorageError(
+                f"{INSERTS_FILE} line {lineno} holds unknown op kind "
+                f"{record[0]!r}"
+            )
+        tokens = record[first:]
+        if not all(map(isinstance, tokens, itertools.repeat(str))):
+            raise _ComponentFailure(
+                component, f"line {lineno} holds a token that is not a string"
+            )
+        add(tokens, record[first - 1])
+
+
+def _parse_objects(
+    collection: SetCollection, lines: Sequence[Any], component: str
+) -> None:
+    """Append one set per line of formats 1 to 3, a JSON object: its
+    ``counts``, each a positive integer, and its ``payload``.  A tail
+    line (``component`` is ``"inserts"``) also names its kind, and only
+    ``"add"`` is known."""
     tail = component == "inserts"
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -635,9 +721,9 @@ def _parse_sets(
 # durable inserts: a generation's tail
 # ----------------------------------------------------------------------
 def _insert_frame(counts: Dict[str, int], payload: Any) -> bytes:
-    """One tail line: ``<crc32 hex> <JSON record>\n``."""
+    """One tail line: ``<crc32 hex> ["add", payload, token, …]\n``."""
     body = _record_json(
-        "a durable insert", {"kind": "add", "counts": counts, "payload": payload}
+        "a durable insert", counts, payload, ("add",)
     ).encode("utf-8")
     return b"%08x %s\n" % (zlib.crc32(body), body)
 
@@ -688,11 +774,13 @@ class DurableUpdatableSearcher(UpdatableSearcher):
     ``directory`` is a :func:`save_searcher` directory: a fresh one gets
     the initial sets as its first generation, an existing one is loaded
     with its skip-list flag (``recovery_report`` counts the tail lines
-    replayed and dropped).  :meth:`add` appends each set to the
-    ``inserts.jsonl`` of the generation ``CURRENT`` names and fsyncs it
-    before applying it; the first append after a load cuts off the
-    lines the load dropped.  A restart starts epoch 0 over every set,
-    so it answers like a fresh build.
+    replayed and dropped) and, when its generation is older than format
+    4, compacted into a new one, so a tail holds one line shape.
+    :meth:`add` appends each set to the ``inserts.jsonl`` of the
+    generation ``CURRENT`` names and fsyncs it before applying it; the
+    first append after a load cuts off the lines the load dropped.  A
+    restart starts epoch 0 over every set, so it answers like a fresh
+    build.
     """
 
     def __init__(
@@ -718,10 +806,9 @@ class DurableUpdatableSearcher(UpdatableSearcher):
         self._tail_end = 0
         if existing:  # epoch 0 over every set
             _, self._tail_end = _load(directory, partial(self._publish, 0))
-            loaded = self.recovery_report.loaded_generation
-            self._tail = directory / loaded / INSERTS_FILE
-        name = _current_name(directory)
-        if name is None or (directory / name / POSTINGS_FILE).exists():
+            report = self.recovery_report
+            self._tail = directory / report.loaded_generation / INSERTS_FILE
+        if not existing or report.format_version < FORMAT_VERSION:
             self.compact()  # a fresh directory, or an older format
 
     def add(self, tokens: Sequence[str], payload: Any = None) -> int:

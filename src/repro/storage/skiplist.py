@@ -57,8 +57,7 @@ class SkipList:
         max_bytes: Optional[int] = None,
         stride: int = 1,
     ) -> None:
-        if stride < 1:
-            raise StorageError("stride must be >= 1")
+        self._adopt(keys, max_bytes, stride)
         if not all(map(operator.le, keys, itertools.islice(keys, 1, None))):
             i = next(
                 i for i in range(1, len(keys)) if keys[i - 1] > keys[i]
@@ -66,6 +65,30 @@ class SkipList:
             raise StorageError(
                 f"keys must be sorted; violation at position {i}"
             )
+
+    @classmethod
+    def _over_sorted(
+        cls,
+        keys: Sequence[Tuple[float, int]],
+        max_bytes: Optional[int],
+        stride: int,
+    ) -> "SkipList":
+        """A skip list over ``keys`` that trusts them to be sorted, for
+        an index build, whose lists are sorted by construction (and
+        checked by ``check_order_preservation`` when invariants are
+        armed)."""
+        skip = cls.__new__(cls)
+        skip._adopt(keys, max_bytes, stride)
+        return skip
+
+    def _adopt(
+        self,
+        keys: Sequence[Tuple[float, int]],
+        max_bytes: Optional[int],
+        stride: int,
+    ) -> None:
+        if stride < 1:
+            raise StorageError("stride must be >= 1")
         self._records = keys
         self._n = len(keys)
         # Thin to satisfy the byte budget: keep every stride-th key.

@@ -71,8 +71,8 @@ PERSIST_FIXTURES = Path(__file__).parent / "fixtures" / "persist"
 @pytest.fixture()
 def legacy_index(tmp_path):
     """Copy a committed index directory of a given format into
-    ``tmp_path`` and return the copy: ``"v3"`` and ``"v2"`` are
-    generational format-3 and format-2 directories, ``"v1"`` a flat
+    ``tmp_path`` and return the copy: ``"v4"``, ``"v3"`` and ``"v2"``
+    are generational directories of formats 4, 3 and 2, ``"v1"`` a flat
     format-1 one (v1 and v2 hold ``postings.bin``; see
     ``tests/fixtures/persist/README.md``)."""
 

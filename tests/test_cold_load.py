@@ -285,7 +285,7 @@ def _two_generations(directory):
 
 
 class TestLegacyFixtures:
-    @pytest.mark.parametrize("name", ["v3", "v2", "v1"])
+    @pytest.mark.parametrize("name", ["v4", "v3", "v2", "v1"])
     def test_loads_clean_and_equals_fresh_build(self, legacy_index, name):
         loaded = load_searcher(legacy_index(name))
         report = loaded.recovery_report
@@ -322,11 +322,15 @@ class TestChecksumsRequired:
         else:
             directory = legacy_index("v2")
         generation = _two_generations(directory)
-        # A tampered payload the missing checksum would have caught.
+        # A tampered payload the missing checksum would have caught: a
+        # format-2 line is an object, a format-4 line an array.
         collection = generation / "collection.jsonl"
-        collection.write_text(
-            collection.read_text().replace('"payload": null', '"payload": 1', 1)
-        )
+        text = collection.read_text()
+        tampered = text.replace('"payload": null', '"payload": 1', 1)
+        if source == "saved":
+            tampered = text.replace("[null,", "[1,", 1)
+        assert tampered != text
+        collection.write_text(tampered)
         manifest_path = generation / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         checksums = self.DAMAGE[damage](manifest.pop("checksums"))
@@ -383,10 +387,10 @@ class TestSemanticCorruption:
 
     @pytest.mark.parametrize("count", [0, -1, 1.5, True, "2", None])
     def test_count_that_is_not_positive_int_is_collection_damage(
-        self, tmp_path, count
+        self, legacy_index, count
     ):
-        directory = tmp_path / "idx"
-        save_searcher(_corpus_searcher(), directory)
+        # Formats 1 to 3 store counts; format 4 writes a token per count.
+        directory = legacy_index("v3")
         generation = directory / "gen-000001"
         lines = (generation / "collection.jsonl").read_text().splitlines()
         record = json.loads(lines[0])

@@ -71,14 +71,22 @@ class TestRoundTrip:
         assert loaded.collection.payload(1) == "gamma delta"
 
     def test_saved_lines_hold_counts_and_payload(self, saved):
-        # Each set is saved once, as its counts: no "tokens" beside them.
+        # Each set is saved once, as one compact array: its payload, then
+        # each token as many times as it counts, in counts' key order.
         path, _m, searcher = saved
-        lines = (path / "collection.jsonl").read_text().splitlines()
+        text = (path / "collection.jsonl").read_text(encoding="utf-8")
+        lines = text.split("\n")
+        assert lines.pop() == ""
         assert len(lines) == len(searcher.collection)
         for line, rec in zip(lines, searcher.collection):
-            record = json.loads(line)
-            assert list(record) == ["counts", "payload"]
-            assert record["counts"] == rec.counts
+            payload, *tokens = json.loads(line)
+            assert payload == rec.payload
+            assert tokens == [
+                token for token, n in rec.counts.items() for _ in range(n)
+            ]
+            assert line == json.dumps(
+                [payload, *tokens], ensure_ascii=False, separators=(",", ":")
+            )
 
     def test_multiset_counts_survive(self, tmp_path):
         coll = SetCollection.from_token_sets([["a", "a", "b"]])
@@ -162,6 +170,14 @@ class TestFlatLayout:
         # it) rather than demand fields the old writer never produced.
         coll = SetCollection.from_token_sets([["a", "b"], ["b", "c"]])
         _save_flat(SetSimilaritySearcher(coll), tmp_path / "v1")
+        # Format 1 wrote each set as an object.
+        (tmp_path / "v1" / "collection.jsonl").write_text(
+            "".join(
+                json.dumps({"counts": rec.counts, "payload": rec.payload})
+                + "\n"
+                for rec in coll
+            )
+        )
         manifest = json.loads((tmp_path / "v1" / "manifest.json").read_text())
         manifest["format_version"] = 1
         del manifest["checksums"]

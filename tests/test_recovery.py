@@ -31,7 +31,11 @@ from repro import (
 )
 from repro.core.errors import CorruptIndexError, StorageError
 from repro.faults import TornWriteError, use_fault_plan
-from repro.storage.persist import DurableUpdatableSearcher, RecoveryReport
+from repro.storage.persist import (
+    FORMAT_VERSION,
+    DurableUpdatableSearcher,
+    RecoveryReport,
+)
 
 TOKEN_SETS = [
     ["data", "cleaning", "matters"],
@@ -88,6 +92,7 @@ class TestCorruptionProperty:
         data = bytearray(original)
         data[offset % len(data)] ^= 1 << bit
         target.write_bytes(bytes(data))
+        listing = sorted(p.name for p in path.iterdir())
         try:
             try:
                 loaded = load_searcher(path)
@@ -95,6 +100,15 @@ class TestCorruptionProperty:
                 assert isinstance(exc.report, RecoveryReport)
                 assert exc.report.components()  # damage was attributed
                 assert set(exc.report.components()) <= KNOWN_COMPONENTS
+                return
+            except StorageError:
+                # A flip of the version digit to a newer format: the
+                # load refuses it as unreadable, not as damage, and
+                # renames nothing.
+                version = json.loads(bytes(data))["format_version"]
+                assert file_index == 0 and version > FORMAT_VERSION
+                assert sorted(p.name for p in path.iterdir()) == listing
+                assert (path / "CURRENT").read_bytes() == current_before
                 return
             assert _answers(loaded) == expected
         finally:
@@ -422,9 +436,7 @@ class TestDurableUpdatableSearcher:
 
     def test_unknown_op_kind_rejected(self, tmp_path):
         DurableUpdatableSearcher(tmp_path, initial_sets=TOKEN_SETS[:2])
-        _tail(tmp_path).write_bytes(
-            _frame({"kind": "drop-table", "counts": {}, "payload": None})
-        )
+        _tail(tmp_path).write_bytes(_frame(["drop-table", None, "a"]))
         with pytest.raises(StorageError, match="drop-table"):
             DurableUpdatableSearcher(tmp_path)
 
@@ -489,15 +501,24 @@ class TestDurableUpdatableSearcher:
         s2.compact()
         assert (tmp_path / "gen-000006.corrupt").is_dir()
 
-    @pytest.mark.parametrize("name", ["v1", "v2"])
+    @pytest.mark.parametrize("name", ["v1", "v2", "v3"])
     def test_older_format_is_saved_before_inserts(self, legacy_index, name):
-        # postings.bin pins the saved sets' lists, so an older format's
-        # directory gets a current generation before any insert.
+        # postings.bin pins the saved sets' lists, and a tail holds the
+        # line shape of its generation's format, so an older format's
+        # directory gets a current format-4 generation before any insert.
         directory = legacy_index(name)
         s = DurableUpdatableSearcher(directory)
+        assert s.recovery_report.format_version == int(name[1])
+        tail = _tail(directory)
+        manifest = json.loads((tail.parent / "manifest.json").read_text())
+        assert manifest["format_version"] == 4
+        assert not tail.exists()
         s.add(["data", "quality"])
+        assert tail.read_bytes().split(b" ", 1)[1] == (
+            b'["add",null,"data","quality"]\n'
+        )
         s2 = DurableUpdatableSearcher(directory)
+        assert s2.recovery_report.format_version == 4
         generation = directory / s2.recovery_report.loaded_generation
-        manifest = json.loads((generation / "manifest.json").read_text())
-        assert manifest["format_version"] == 3
+        assert generation == tail.parent
         assert s2.recovery_report.replayed == 1 and len(s2) == 7

@@ -264,11 +264,16 @@ class TestSnapshotAcrossThreads:
         )
         queries = [rng.choice(sets) for _ in range(40)]
         done = threading.Event()
+        # Each reader's first answer: the writer starts once every reader
+        # has one, so a fast writer cannot finish before any search.
+        answered = [threading.Event() for _ in range(3)]
         seen = []
         errors = []
 
         def writer():
             try:
+                for event in answered:
+                    event.wait(timeout=30)
                 for i, tokens in enumerate(sets[self.INITIAL:], 1):
                     u.add(tokens)
                     if i % self.REBUILD_EVERY == 0:
@@ -285,8 +290,11 @@ class TestSnapshotAcrossThreads:
                     answer = u.search(q, self.TAU)
                     after = (len(u), u.epoch)
                     seen.append((q, before, after, answer))
+                    answered[seed].set()
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
+            finally:
+                answered[seed].set()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
